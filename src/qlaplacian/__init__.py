@@ -26,7 +26,7 @@ from .cartan import (
     norm_squared,
     parse_type_label,
 )
-from .errors import InvariantError, ResourceCapError
+from .errors import InvariantError, LabelError, ResourceCapError, UsageError
 from .fodc import (
     FodcIndex,
     FodcIndexReport,

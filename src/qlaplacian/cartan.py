@@ -10,12 +10,13 @@ the whole form.  No floating point enters this module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import InvariantError, ResourceCapError
+from .errors import InvariantError, LabelError, ResourceCapError
 
 _RANK_CONSTRAINTS = {
     "A": (1, None),
@@ -50,15 +51,18 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
+_LABEL_RE = re.compile(r"[A-Ga-g]\d+(x[A-Ga-g]\d+)*")
+
+
 def parse_type_label(label: str) -> tuple[SimpleType, ...]:
-    """Parse a product label like "A2" or "A1xG2" into simple factors."""
-    factors = []
-    for piece in label.split("x"):
-        piece = piece.strip()
-        if len(piece) < 2 or not piece[0].isalpha() or not piece[1:].isdigit():
-            raise InvariantError(f"malformed type factor {piece!r} in label {label!r}")
-        factors.append(SimpleType(piece[0].upper(), int(piece[1:])))
-    return tuple(factors)
+    """Parse a product label like "A2", "A1xG2" or "a2xg2" into simple factors.
+
+    A label outside the grammar raises `LabelError`; a family/rank pair the
+    classification excludes (C2, E9) raises a plain `InvariantError`.
+    """
+    if not _LABEL_RE.fullmatch(label):
+        raise LabelError(f"malformed type label {label!r}; expected e.g. A2 or A1xG2")
+    return tuple(SimpleType(piece[0].upper(), int(piece[1:])) for piece in label.split("x"))
 
 
 @dataclass(frozen=True)
@@ -273,13 +277,14 @@ def _invert_rational(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction
 def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSystem:
     """Construct the exact Cartan datum for a nonempty product of simple types.
 
-    `scale` multiplies the invariant form (the symmetrizers scale with it);
-    the default 1 keeps short roots at squared length 2.
+    String factors are type labels and may themselves be products.  `scale`
+    multiplies the invariant form (the symmetrizers scale with it); the
+    default 1 keeps short roots at squared length 2.
     """
     if not factors:
         raise InvariantError("a root system needs at least one simple factor")
-    parsed = tuple(f if isinstance(f, SimpleType) else SimpleType(f[0].upper(), int(f[1:]))
-                   for f in factors)
+    parsed = tuple(simple for f in factors
+                   for simple in ((f,) if isinstance(f, SimpleType) else parse_type_label(f)))
     scale = Fraction(scale)
     if scale <= 0:
         raise InvariantError("the global form scale must be a positive rational")
@@ -362,6 +367,13 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
 def _check_length(R: RootSystem, w: Weight):
     if len(w.coords) != R.rank:
         raise InvariantError(f"weight of length {len(w.coords)} does not match rank {R.rank}")
+
+
+def check_dominant_integral(R: RootSystem, w: Weight):
+    """Reject a weight of the wrong length or one that is not dominant integral."""
+    _check_length(R, w)
+    if not (w.is_integral and w.is_dominant):
+        raise InvariantError(f"weight {w.serialize()} is not dominant integral")
 
 
 def inner_product(R: RootSystem, x: Weight, y: Weight) -> Fraction:
@@ -554,21 +566,16 @@ def coweight_pairing(R: RootSystem, zeta: CenterElement, lam: Weight) -> Fractio
 # ---------------------------------------------------------------------------
 
 
-def enumerate_dominant(R: RootSystem, radius, max_rows: int | None = None) -> list[Weight]:
-    """All dominant integral weights with (x, x) <= radius, in graded-lex order.
+def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],
+                  max_rows: int | None = None) -> list[Weight]:
+    """All dominant integral weights whose coordinates satisfy `inside`, graded-lex.
 
-    Finiteness comes from positive definiteness of the Gram matrix; all of its
-    entries are nonnegative, so the norm is monotone in each coordinate.
+    `inside` must be monotone (once false, it stays false as any coordinate
+    grows) and false for all but finitely many weights; the walk raises the
+    last coordinate until it fails, then carries into the one before.
     """
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise InvariantError("radius must be a positive rational")
     found: list[Weight] = []
     coords = [0] * R.rank
-
-    def current_norm() -> Fraction:
-        w = Weight.of(coords)
-        return inner_product(R, w, w)
 
     def extend(k: int):
         if k == R.rank:
@@ -578,15 +585,23 @@ def enumerate_dominant(R: RootSystem, radius, max_rows: int | None = None) -> li
                     f"dominant-weight scan exceeded the row cap of {max_rows}"
                 )
             return
-        v = 0
-        while True:
-            coords[k] = v
-            if current_norm() > radius:
-                break
+        while inside(coords):
             extend(k + 1)
-            v += 1
+            coords[k] += 1
         coords[k] = 0
 
     extend(0)
     found.sort(key=graded_key)
     return found
+
+
+def enumerate_dominant(R: RootSystem, radius, max_rows: int | None = None) -> list[Weight]:
+    """All dominant integral weights with (x, x) <= radius, in graded-lex order.
+
+    Finiteness comes from positive definiteness of the Gram matrix; all of its
+    entries are nonnegative, so the norm is monotone in each coordinate.
+    """
+    radius = Fraction(radius)
+    if radius <= 0:
+        raise InvariantError("radius must be a positive rational")
+    return walk_dominant(R, lambda coords: norm_squared(R, Weight.of(coords)) <= radius, max_rows)

@@ -9,8 +9,6 @@ output.  Exit codes: 0 ok, 1 usage, 2 invariant violation, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import os
-import re
 import sys
 from fractions import Fraction
 
@@ -25,12 +23,17 @@ from .cartan import (
     is_half_coroot,
     norm_squared,
 )
-from .errors import InvariantError, ResourceCapError
-from .fodc import FodcIndex, admits_star_structure, enumerate_fodc_indices, fodc_dimension, validate_functional
+from .errors import InvariantError, ResourceCapError, UsageError
+from .fodc import (
+    DEFAULT_INDEX_CAP,
+    FodcIndex,
+    admits_star_structure,
+    enumerate_fodc_indices,
+    fodc_dimension,
+    validate_functional,
+)
 from .heat import heat_trace_report, markov_verdict
 from .spectra import (
-    DEFAULT_ROW_CAP,
-    ROW_CAP_ENV,
     GeneralFunctionalSpec,
     LaplacianSpec,
     QParam,
@@ -38,15 +41,12 @@ from .spectra import (
     lower_bound,
     q_laplacian_eigenvalue,
     qms_witness,
+    resolve_row_cap,
     spectrum_scan,
 )
 from .weights import dim_irrep, weight_system
 
 LIMIT_LADDER = (0.9, 0.99, 0.999)
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,16 +57,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
-
-_TYPE_RE = re.compile(r"^[A-Ga-g]\d+(x[A-Ga-g]\d+)*$")
-
-
-def _parse_type(label: str) -> RootSystem:
-    if not _TYPE_RE.match(label):
-        raise UsageError(f"malformed type label {label!r}; expected e.g. A2 or A1xG2")
-    factors = [(piece[0].upper(), int(piece[1:])) for piece in label.split("x")]
-    return build_root_system([f"{fam}{rank}" for fam, rank in factors])
-
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
@@ -84,11 +74,14 @@ def _parse_coeff(text: str):
     return _parse_rational(text, "coefficient")
 
 
-def _parse_int_vector(text: str, what: str) -> tuple[int, ...]:
+def _parse_int_vector(text: str, what: str, rank: int) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        vector = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse {what} {text!r} as comma-separated integers") from exc
+    if len(vector) != rank:
+        raise UsageError(f"{what}={text} has length {len(vector)}, expected rank {rank}")
+    return vector
 
 
 def _parse_term(text: str, rank: int) -> tuple[tuple[int, ...] | None, tuple[int, ...], object]:
@@ -105,15 +98,9 @@ def _parse_term(text: str, rank: int) -> tuple[tuple[int, ...] | None, tuple[int
         fields[key] = value
     if "mu" not in fields:
         raise UsageError(f"term {text!r} is missing mu=")
-    mu = _parse_int_vector(fields["mu"], "mu")
-    if len(mu) != rank:
-        raise UsageError(f"mu={fields['mu']} has length {len(mu)}, expected rank {rank}")
+    mu = _parse_int_vector(fields["mu"], "mu", rank)
     a = _parse_coeff(fields.get("a", "1"))
-    zeta = None
-    if "zeta" in fields:
-        zeta = _parse_int_vector(fields["zeta"], "zeta")
-        if len(zeta) != rank:
-            raise UsageError(f"zeta={fields['zeta']} has length {len(zeta)}, expected rank {rank}")
+    zeta = _parse_int_vector(fields["zeta"], "zeta", rank) if "zeta" in fields else None
     return zeta, mu, a
 
 
@@ -222,9 +209,12 @@ def _render(report: dict, fmt: str) -> str:
 def _emit(text: str, output: str | None):
     if output in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output!r}: {exc.strerror}") from exc
 
 
 def _terms_json(spec: LaplacianSpec):
@@ -237,7 +227,7 @@ def _terms_json(spec: LaplacianSpec):
 
 
 def _cmd_spectrum(args) -> dict:
-    R = _parse_type(args.type)
+    R = build_root_system([args.type])
     spec = _laplacian_spec(R, args.term)
     q = QParam(args.q)
     radius = _parse_rational(args.radius, "radius")
@@ -258,12 +248,11 @@ def _cmd_spectrum(args) -> dict:
 
 
 def _cmd_limit(args) -> dict:
-    R = _parse_type(args.type)
+    R = build_root_system([args.type])
     spec = _laplacian_spec(R, args.term)
     radius = _parse_rational(args.radius, "radius")
-    cap = args.row_cap if args.row_cap is not None else int(os.environ.get(ROW_CAP_ENV, DEFAULT_ROW_CAP))
     rows = []
-    for lam in enumerate_dominant(R, radius, max_rows=cap):
+    for lam in enumerate_dominant(R, radius, max_rows=resolve_row_cap(args.row_cap)):
         classical = classical_laplacian_eigenvalue(R, spec, lam)
         errors = [abs(q_laplacian_eigenvalue(R, spec, lam, q) - float(classical))
                   for q in LIMIT_LADDER]
@@ -286,15 +275,13 @@ def _cmd_limit(args) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    R = _parse_type(args.type)
+    R = build_root_system([args.type])
     q = QParam(args.q)
     if not args.mu:
         raise UsageError("at least one --mu is required")
     rows = []
     for text in args.mu:
-        mu = Weight.of(_parse_int_vector(text, "mu"))
-        if len(mu.coords) != R.rank:
-            raise UsageError(f"mu={text} has length {len(mu.coords)}, expected rank {R.rank}")
+        mu = Weight.of(_parse_int_vector(text, "mu", R.rank))
         w = qms_witness(R, mu, q)
         rows.append({
             "mu": mu,
@@ -313,7 +300,7 @@ def _cmd_witness(args) -> dict:
 
 
 def _cmd_fodc(args) -> dict:
-    R = _parse_type(args.type)
+    R = build_root_system([args.type])
     if args.term:
         spec = _general_spec(R, args.term)
         verdict = validate_functional(R, spec)
@@ -350,7 +337,7 @@ def _cmd_fodc(args) -> dict:
 
 
 def _cmd_heat(args) -> dict:
-    R = _parse_type(args.type)
+    R = build_root_system([args.type])
     spec = _laplacian_spec(R, args.term)
     q = QParam(args.q)
     radius = _parse_rational(args.radius, "radius")
@@ -358,10 +345,9 @@ def _cmd_heat(args) -> dict:
         grid = [float(part) for part in args.t_grid.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse t grid {args.t_grid!r}") from exc
-    rows = []
-    for t in grid:
-        trace, trunc = heat_trace_report(R, spec, q, t, radius, row_cap=args.row_cap)
-        rows.append({"t": t, "trace": trace, "truncation_estimate": trunc})
+    results = heat_trace_report(R, spec, q, grid, radius, row_cap=args.row_cap)
+    rows = [{"t": t, "trace": trace, "truncation_estimate": trunc}
+            for t, (trace, trunc) in zip(grid, results)]
     verdict = markov_verdict(R, spec, q)
     return {
         "command": "heat",
@@ -375,7 +361,7 @@ def _cmd_heat(args) -> dict:
 
 
 def _cmd_center(args) -> dict:
-    R = _parse_type(args.type)
+    R = build_root_system([args.type])
     group = center_group(R)
     return {
         "command": "center",
@@ -388,10 +374,8 @@ def _cmd_center(args) -> dict:
 
 
 def _cmd_weights(args) -> dict:
-    R = _parse_type(args.type)
-    mu = Weight.of(_parse_int_vector(args.mu, "mu"))
-    if len(mu.coords) != R.rank:
-        raise UsageError(f"mu={args.mu} has length {len(mu.coords)}, expected rank {R.rank}")
+    R = build_root_system([args.type])
+    mu = Weight.of(_parse_int_vector(args.mu, "mu", R.rank))
     ws = weight_system(R, mu)
     return {
         "command": "weights",
@@ -416,7 +400,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--type", required=True, help="product type label, e.g. A2 or A1xG2")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default="-", help="output path ('-' = stdout)")
-        p.add_argument("--row-cap", type=int, default=None, help="override the scan row cap")
         if q:
             p.add_argument("--q", type=float, required=True, help="deformation parameter in (0, 1)")
         if terms:
@@ -424,6 +407,7 @@ def _build_parser() -> _Parser:
                            help="spec term, e.g. mu=1,0:a=1 or mu=1,0:a=1:zeta=0,0")
         if radius:
             p.add_argument("--radius", required=True, help="norm-ball radius, rational like 2 or 8/3")
+            p.add_argument("--row-cap", type=int, default=None, help="override the scan row cap")
 
     p = sub.add_parser("spectrum", help="eigenvalue scan with lower bound and argmin")
     common(p, q=True, terms=True, radius=True)
@@ -442,7 +426,7 @@ def _build_parser() -> _Parser:
     common(p, terms=True)
     p.add_argument("--max-height", type=int, default=None)
     p.add_argument("--include-center", action="store_true")
-    p.add_argument("--index-cap", type=int, default=65536)
+    p.add_argument("--index-cap", type=int, default=DEFAULT_INDEX_CAP)
     p.set_defaults(fn=_cmd_fodc)
 
     p = sub.add_parser("heat", help="truncated heat trace over a time grid")

@@ -23,6 +23,7 @@ from .cartan import (
     graded_key,
     is_half_coroot,
     minus_w0,
+    walk_dominant,
 )
 from .errors import InvariantError, ResourceCapError
 from .spectra import GeneralFunctionalSpec
@@ -180,21 +181,22 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
 
     Subsets of the pair pool are emitted in bitmask order, beginning with the
     zero calculus; (0, 0) is excluded from the pool since it only names the
-    zero summand.
+    zero summand.  The weight walk stops as soon as the pool would hold more
+    than log2(max_indices) pairs, so the cap is checked before the work.
     """
     if max_height < 0:
         raise InvariantError("max_height must be nonnegative")
-    mus = _dominant_up_to_height(R, max_height)
     zetas = center_group(R).representatives if include_center else (center_reduce(R, [0] * R.rank),)
+    # 2^(|zetas| * |mus| - 1) calculi fit under the cap iff |zetas| * |mus| <= its bit length
+    max_mus = max(max_indices, 0).bit_length() // len(zetas)
+    try:
+        mus = walk_dominant(R, lambda coords: sum(coords) <= max_height, max_rows=max_mus)
+    except ResourceCapError:
+        raise ResourceCapError(f"enumeration exceeds the cap of {max_indices} calculi") from None
     pool = [(z, mu) for z in zetas for mu in mus]
     pool = sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key)
-    count = 1 << len(pool)
-    if count > max_indices:
-        raise ResourceCapError(
-            f"enumeration of {count} calculi exceeds the cap of {max_indices}"
-        )
     reports = []
-    for mask in range(count):
+    for mask in range(1 << len(pool)):
         chosen = tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
         idx = FodcIndex(chosen)
         reports.append(FodcIndexReport(
@@ -204,21 +206,3 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
             functional_class=idx.nonzero_pairs,
         ))
     return tuple(reports)
-
-
-def _dominant_up_to_height(R: RootSystem, max_height: int) -> list[Weight]:
-    out = []
-    coords = [0] * R.rank
-
-    def walk(k: int, remaining: int):
-        if k == R.rank:
-            out.append(Weight.of(coords))
-            return
-        for v in range(remaining + 1):
-            coords[k] = v
-            walk(k + 1, remaining - v)
-        coords[k] = 0
-
-    walk(0, max_height)
-    out.sort(key=graded_key)
-    return out

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .cartan import RootSystem, Weight, graded_key, norm_squared
 from .errors import InvariantError
@@ -83,29 +84,27 @@ def apply_heat(R: RootSystem, spec: LaplacianSpec, coeffs: BlockCoefficients,
 def heat_trace(R: RootSystem, spec: LaplacianSpec, q, t: float, radius,
                row_cap: int | None = None) -> float:
     """Truncated trace sum n_lam^2 e^{-t C(lam)} over (lam, lam) <= radius."""
-    if t <= 0:
-        raise InvariantError(f"heat-trace time must be positive, got {t}")
-    rows = spectrum_scan(R, spec, q, radius, row_cap=row_cap)
-    return sum(r.dim ** 2 * math.exp(-t * r.eigenvalue) for r in rows)
+    return heat_trace_report(R, spec, q, [t], radius, row_cap=row_cap)[0][0]
 
 
-def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, t: float, radius,
-                      row_cap: int | None = None) -> tuple[float, float]:
-    """(trace, truncation estimate).
+def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float], radius,
+                      row_cap: int | None = None) -> list[tuple[float, float]]:
+    """One (trace, truncation estimate) pair per time in `ts`, from a single scan.
 
     The estimate is n_max^2 e^{-t C_min} taken on the outermost shell of the
     scan, a single-term proxy for the discarded tail justified by the
     divergence of the eigenvalues.
     """
-    if t <= 0:
-        raise InvariantError(f"heat-trace time must be positive, got {t}")
+    for t in ts:
+        if not 0 < t < math.inf:
+            raise InvariantError(f"heat-trace time must be positive and finite, got {t}")
     rows = spectrum_scan(R, spec, q, radius, row_cap=row_cap)
-    trace = sum(r.dim ** 2 * math.exp(-t * r.eigenvalue) for r in rows)
     boundary_norm = max(norm_squared(R, r.lam) for r in rows)
     shell = [r for r in rows if norm_squared(R, r.lam) == boundary_norm]
     n_max = max(r.dim for r in shell)
     c_min = min(r.eigenvalue for r in shell)
-    return trace, n_max ** 2 * math.exp(-t * c_min)
+    return [(sum(r.dim ** 2 * math.exp(-t * r.eigenvalue) for r in rows),
+             n_max ** 2 * math.exp(-t * c_min)) for t in ts]
 
 
 @dataclass(frozen=True)

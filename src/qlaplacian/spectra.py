@@ -26,22 +26,30 @@ from .cartan import (
     RootSystem,
     Weight,
     center_reduce,
+    check_dominant_integral,
     coweight_pairing,
     enumerate_dominant,
     inner_product,
     minus_w0,
 )
-from .errors import InvariantError
+from .errors import InvariantError, UsageError
 from .weights import dim_irrep, weight_system
 
 ROW_CAP_ENV = "QLAP_ROW_CAP"
 DEFAULT_ROW_CAP = 100000
 
 
-def _row_cap(explicit: int | None) -> int:
+def resolve_row_cap(explicit: int | None) -> int:
+    """The scan row cap: `explicit` if given, else $QLAP_ROW_CAP, else DEFAULT_ROW_CAP."""
     if explicit is not None:
         return explicit
-    return int(os.environ.get(ROW_CAP_ENV, DEFAULT_ROW_CAP))
+    text = os.environ.get(ROW_CAP_ENV)
+    if text is None:
+        return DEFAULT_ROW_CAP
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"{ROW_CAP_ENV}={text!r} is not an integer") from exc
 
 
 @dataclass(frozen=True)
@@ -132,13 +140,6 @@ class SpectrumRow:
     eigenvalue: float
 
 
-def _check_block_weight(R: RootSystem, lam: Weight):
-    if len(lam.coords) != R.rank:
-        raise InvariantError(f"weight of length {len(lam.coords)} does not match rank {R.rank}")
-    if not (lam.is_integral and lam.is_dominant):
-        raise InvariantError(f"block weight {lam.serialize()} is not dominant integral")
-
-
 def q_number(x, q) -> float:
     """[x]_q = (q^x - q^{-x}) / (q - q^{-1}) = sinh(x ln q) / sinh(ln q)."""
     qp = _qparam(q)
@@ -153,7 +154,7 @@ def casimir_eigenvalue(R: RootSystem, mu: Weight, lam: Weight, q) -> float:
     qp = _qparam(q)
     if qp.is_classical:
         raise InvariantError("q = 1 is rejected here; use the classical-limit formulas")
-    _check_block_weight(R, lam)
+    check_dominant_integral(R, lam)
     h = qp.h
     shifted = lam + R.weyl_vector
     total = 0.0
@@ -179,13 +180,13 @@ def q_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight, q) -
     qp = _qparam(q)
     if qp.is_classical:
         raise InvariantError("q = 1 is rejected here; use classical_laplacian_eigenvalue")
-    _check_block_weight(R, lam)
+    check_dominant_integral(R, lam)
     return sum(float(a) * _bracket_sq_difference(R, mu, lam, qp) for mu, a in spec.terms)
 
 
 def classical_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight):
     """The q -> 1 limit, exact rational when all coefficients are rational."""
-    _check_block_weight(R, lam)
+    check_dominant_integral(R, lam)
     rho = R.weyl_vector
     shifted = lam + rho
     exact = spec.is_rational
@@ -202,7 +203,7 @@ def classical_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weig
 
 def general_functional_eigenvalue(R: RootSystem, spec: GeneralFunctionalSpec, lam: Weight, q) -> complex:
     """sum_l a_l e^{2 pi i (xi_l, lam)} C_{z_{mu_l}}(lam), phases from exact rationals."""
-    _check_block_weight(R, lam)
+    check_dominant_integral(R, lam)
     total = 0j
     for zeta, mu, a in spec.terms:
         zeta = center_reduce(R, zeta.rep)
@@ -285,8 +286,7 @@ def spectrum_scan(R: RootSystem, spec: LaplacianSpec, q, radius,
                   row_cap: int | None = None) -> list[SpectrumRow]:
     """One row per dominant weight with (lam, lam) <= radius, graded-lex order."""
     qp = _qparam(q)
-    cap = _row_cap(row_cap)
-    lams = enumerate_dominant(R, radius, max_rows=cap)
+    lams = enumerate_dominant(R, radius, max_rows=resolve_row_cap(row_cap))
     return [SpectrumRow(lam=lam, dim=dim_irrep(R, lam),
                         eigenvalue=q_laplacian_eigenvalue(R, spec, lam, qp))
             for lam in lams]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cartan import RootSystem, Weight, graded_key, inner_product
+from .cartan import RootSystem, Weight, check_dominant_integral, graded_key, inner_product
 from .errors import InvariantError
 
 
@@ -51,15 +51,6 @@ class WeightSystem:
 
     def __repr__(self):
         return f"WeightSystem(highest={self.highest!r}, size={self.dimension})"
-
-
-def _require_dominant_integral(R: RootSystem, mu: Weight):
-    if len(mu.coords) != R.rank:
-        raise InvariantError(f"weight of length {len(mu.coords)} does not match rank {R.rank}")
-    if not mu.is_integral:
-        raise InvariantError(f"highest weight must be integral, got {mu.serialize()}")
-    if not mu.is_dominant:
-        raise InvariantError(f"highest weight must be dominant, got {mu.serialize()}")
 
 
 def _dominant_representative(R: RootSystem, x: Weight) -> Weight:
@@ -104,7 +95,7 @@ def _dominant_candidates(R: RootSystem, mu: Weight) -> list[tuple[Weight, int]]:
 @lru_cache(maxsize=None)
 def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
     """All weights of V(mu) with multiplicities (exact, Weyl-closed)."""
-    _require_dominant_integral(R, mu)
+    check_dominant_integral(R, mu)
     if mu.is_zero:
         return WeightSystem(mu, [(mu, 1)])
 
@@ -153,7 +144,7 @@ def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
 @lru_cache(maxsize=None)
 def dim_irrep(R: RootSystem, mu: Weight) -> int:
     """Dimension of V(mu) by the product over positive roots."""
-    _require_dominant_integral(R, mu)
+    check_dominant_integral(R, mu)
     rho = R.weyl_vector
     num = Fraction(1)
     den = Fraction(1)

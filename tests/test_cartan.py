@@ -42,6 +42,13 @@ def test_build_rejects_empty_product():
         build_root_system([])
 
 
+def test_build_parses_string_factors_with_the_label_grammar():
+    assert build_root_system(["a1xG2"]) == build_root_system(parse_type_label("A1xG2"))
+    for bad in ["A", "2A", "A1x", "A1 ", "H4"]:
+        with pytest.raises(InvariantError):
+            build_root_system([bad])
+
+
 def test_a1_is_forced():
     r = R("A1")
     assert len(r.positive_roots) == 1

@@ -141,6 +141,16 @@ def test_exit_codes(capsys):
     code, _, err = run(capsys, "spectrum", "--type", "A1", "--term", "mu=1:a=-1",
                        "--q", "0.5", "--radius", "2")
     assert code == 2  # invalid coefficient sign
+    for grid in ("nan", "inf", "0.5,-inf"):
+        code, out, err = run(capsys, "heat", "--type", "A1", "--term", "mu=1:a=1",
+                             "--q", "0.5", "--radius", "2", "--t-grid", grid)
+        assert (code, out) == (2, "") and err.startswith("invariant violation:")
+    for label, height in (("A1", "20000"), ("E8", "60")):  # capped before the pool is built
+        code, out, err = run(capsys, "fodc", "--type", label, "--max-height", height)
+        assert (code, out) == (3, "") and err.startswith("resource cap:")
+    for argv in (("center", "--type", "A2"), ("weights", "--type", "A2", "--mu", "1,0")):
+        code, _, err = run(capsys, *argv, "--row-cap", "5")  # only scanning commands take it
+        assert code == 1 and err.startswith("usage error:")
 
 
 def test_row_cap_env_variable(capsys, monkeypatch):
@@ -148,6 +158,10 @@ def test_row_cap_env_variable(capsys, monkeypatch):
     code, _, err = run(capsys, "spectrum", "--type", "A1", "--term", "mu=1:a=1",
                        "--q", "0.5", "--radius", "1000")
     assert code == 3
+    monkeypatch.setenv("QLAP_ROW_CAP", "abc")
+    for command in (["spectrum", "--q", "0.5"], ["limit"], ["heat", "--q", "0.5"]):
+        code, out, err = run(capsys, *command, "--type", "A1", "--term", "mu=1:a=1", "--radius", "2")
+        assert (code, out) == (1, "") and err.startswith("usage error:")
 
 
 def test_output_to_file(tmp_path, capsys):
@@ -155,3 +169,5 @@ def test_output_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "center", "--type", "A2", "--output", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["order"] == 3
+    code, out, err = run(capsys, "center", "--type", "A2", "--output", str(tmp_path / "missing" / "x"))
+    assert (code, out) == (1, "") and err.startswith("usage error:")

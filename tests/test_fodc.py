@@ -201,5 +201,12 @@ def test_enumeration_annotations_and_cap():
     with pytest.raises(ResourceCapError) as err:
         enumerate_fodc_indices(A2, 1, include_center=True, max_indices=100)
     assert "100" in str(err.value)
+    # the cap is exact (2^8 calculi pass at 256, not at 255) and is hit while
+    # the weight pool is collected, before an astronomical count is formed
+    assert len(enumerate_fodc_indices(A2, 1, include_center=True, max_indices=256)) == 256
+    for r, height, cap in ((A2, 1, 255), (A1, 20000, 65536), (R("E8"), 60, 65536)):
+        with pytest.raises(ResourceCapError) as err:
+            enumerate_fodc_indices(r, height, include_center=True, max_indices=cap)
+        assert str(cap) in str(err.value)
     with pytest.raises(InvariantError):
         enumerate_fodc_indices(A2, -1, include_center=False)

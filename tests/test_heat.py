@@ -87,8 +87,9 @@ def test_heat_trace_examples():
     expected = 1 + 4 * math.exp(-14 / 9) + 9 * math.exp(-5)
     assert rel_close(got, expected)
     assert heat_trace(A1, SPEC, 0.5, 10.0, 2) < heat_trace(A1, SPEC, 0.5, 1.0, 2)
-    with pytest.raises(InvariantError):
-        heat_trace(A1, SPEC, 0.5, 0.0, 2)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvariantError):
+            heat_trace(A1, SPEC, 0.5, bad, 2)
 
 
 def test_heat_trace_monotone_and_limits():
@@ -99,10 +100,24 @@ def test_heat_trace_monotone_and_limits():
 
 
 def test_heat_trace_report_estimates_boundary():
-    trace, estimate = heat_trace_report(A1, SPEC, 0.5, 1.0, 2)
+    (trace, estimate), = heat_trace_report(A1, SPEC, 0.5, [1.0], 2)
     assert rel_close(trace, heat_trace(A1, SPEC, 0.5, 1.0, 2))
     boundary_eigenvalue = q_laplacian_eigenvalue(A1, SPEC, Weight.of([2]), 0.5)
     assert rel_close(estimate, 9 * math.exp(-boundary_eigenvalue))
+
+
+def test_heat_trace_report_scans_once_per_grid(monkeypatch):
+    import qlaplacian.heat as heat
+
+    scans = []
+    real_scan = heat.spectrum_scan
+    monkeypatch.setattr(heat, "spectrum_scan", lambda *a, **kw: scans.append(a) or real_scan(*a, **kw))
+    times = [0.25, 1.0, 4.0]
+    pairs = heat_trace_report(A1, SPEC, 0.5, times, 2)
+    assert len(scans) == 1
+    assert [trace for trace, _ in pairs] == [heat_trace(A1, SPEC, 0.5, t, 2) for t in times]
+    with pytest.raises(InvariantError):
+        heat_trace_report(A1, SPEC, 0.5, [1.0, math.nan], 2)
 
 
 def test_block_json_round_trip():
