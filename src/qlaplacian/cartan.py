@@ -10,8 +10,9 @@ the whole form.  No floating point enters this module.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
@@ -153,7 +154,8 @@ class RootSystem:
 
     cartan[i][j] = 2(a_i, a_j)/(a_i, a_i); the j-th simple root has
     fundamental-weight coordinates equal to the j-th column.  gram holds the
-    pairwise products of the fundamental weights, so that (x, y) = x^T G y.
+    pairwise products of the fundamental weights, so that (x, y) = x^T G y;
+    form is the integer matrix D G, with D = denominator the least one.
     """
 
     factors: tuple[SimpleType, ...]
@@ -167,8 +169,15 @@ class RootSystem:
     highest_roots: tuple[Weight, ...]
     weyl_vector: Weight
     scale: Fraction
+    denominator: int = field(compare=False)
+    form: tuple[tuple[int, ...], ...] = field(compare=False)
 
     # -- small structural helpers ------------------------------------------
+
+    def row(self, w: Weight) -> tuple[int, ...]:
+        """D G w for an integral weight w, so that D (x, w) is the dot product x . row."""
+        coords = [int(c) for c in w.coords]
+        return tuple(sum(g * c for g, c in zip(line, coords)) for line in self.form)
 
     def simple_root(self, j: int) -> Weight:
         """The simple root a_j (1-based), read off the Cartan matrix column."""
@@ -307,6 +316,8 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     gram = tuple(
         tuple(scale * d0[i] * minv[i][j] * d0[j] for j in range(n)) for i in range(n)
     )
+    denominator = math.lcm(*(g.denominator for line in gram for g in line))
+    form = tuple(tuple(int(g * denominator) for g in line) for line in gram)
     d = tuple(scale * Fraction(dj) for dj in d0)
     cartan_t = tuple(tuple(row) for row in cartan)
     rho = Weight((Fraction(1),) * n)
@@ -314,7 +325,7 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     skeleton = RootSystem(
         factors=parsed, rank=n, cartan=cartan_t, d=d, gram=gram,
         positive_roots=(), w0_word=(), w0_perm=(), highest_roots=(),
-        weyl_vector=rho, scale=scale,
+        weyl_vector=rho, scale=scale, denominator=denominator, form=form,
     )
 
     # Longest-element word by greedy descent from rho (smallest index first).
@@ -357,11 +368,8 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
             raise InvariantError("highest root of a simple factor is not unique")
         highest.append(in_factor[top])
 
-    return RootSystem(
-        factors=parsed, rank=n, cartan=cartan_t, d=d, gram=gram,
-        positive_roots=tuple(roots), w0_word=word, w0_perm=tuple(perm),
-        highest_roots=tuple(highest), weyl_vector=rho, scale=scale,
-    )
+    return replace(skeleton, positive_roots=tuple(roots), w0_word=word, w0_perm=tuple(perm),
+                   highest_roots=tuple(highest))
 
 
 def _check_length(R: RootSystem, w: Weight):

@@ -8,8 +8,9 @@ weight multiset of V(mu_l):
     q-Laplacian eigenvalue       C(l)         = sum_l a_l sum_e ([ (l+r, e) ]_q^2 - [ (r, e) ]_q^2)
     classical limit (q -> 1)     C_cl(l)      = sum_l a_l sum_e ((l+r, e)^2 - (r, e)^2)
 
-Pairings stay exact rationals until the final exponentiation; eigenvalues
-are computed in the squared-bracket form, which is stable as q -> 1.
+Every family reads the pairings (l + r, e) and (r, e) from `weights.pairings`
+as integers p over the root system's denominator D; floats enter only at the
+final exp or sinh of p / D, in the squared-bracket form (stable as q -> 1).
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ from .cartan import (
     RootSystem,
     Weight,
     center_reduce,
-    check_dominant_integral,
     coweight_pairing,
     enumerate_dominant,
     inner_product,
     minus_w0,
 )
 from .errors import InvariantError, UsageError
-from .weights import dim_irrep, weight_system
+from .weights import dim_irrep, pairings, weight_system
 
 ROW_CAP_ENV = "QLAP_ROW_CAP"
 DEFAULT_ROW_CAP = 100000
@@ -62,17 +62,26 @@ class QParam:
         if not (0.0 < self.q <= 1.0):
             raise InvariantError(f"q must satisfy 0 < q <= 1, got {self.q}")
 
-    @property
-    def h(self) -> float:
-        return math.log(self.q)
-
-    @property
-    def is_classical(self) -> bool:
-        return self.q == 1.0
-
 
 def _qparam(q) -> QParam:
     return q if isinstance(q, QParam) else QParam(float(q))
+
+
+def _log_q(q) -> float:
+    """ln q for the q-dependent formulas, which reject q = 1 (see the classical ones)."""
+    q = _qparam(q).q
+    if q == 1.0:
+        raise InvariantError("q = 1 is rejected here; use the classical-limit formulas")
+    return math.log(q)
+
+
+def _bracket(x: float, h: float) -> float:
+    """[x]_q with h = ln q."""
+    return math.sinh(x * h) / math.sinh(h)
+
+
+def _pairings(R: RootSystem, mu: Weight, lam: Weight):
+    return pairings(R, weight_system(R, mu).rows, lam)
 
 
 def _as_coefficient(a):
@@ -142,68 +151,45 @@ class SpectrumRow:
 
 def q_number(x, q) -> float:
     """[x]_q = (q^x - q^{-x}) / (q - q^{-1}) = sinh(x ln q) / sinh(ln q)."""
-    qp = _qparam(q)
-    if qp.is_classical:
-        raise InvariantError("q = 1 is rejected here; use the classical-limit formulas")
-    h = qp.h
-    return math.sinh(float(x) * h) / math.sinh(h)
+    return _bracket(float(x), _log_q(q))
 
 
 def casimir_eigenvalue(R: RootSystem, mu: Weight, lam: Weight, q) -> float:
     """Eigenvalue sum_e mult(e) q^{-2 (lam + r, e)} of the Casimir functional."""
-    qp = _qparam(q)
-    if qp.is_classical:
-        raise InvariantError("q = 1 is rejected here; use the classical-limit formulas")
-    check_dominant_integral(R, lam)
-    h = qp.h
-    shifted = lam + R.weyl_vector
+    h = _log_q(q)
     total = 0.0
-    for eps, mult in weight_system(R, mu):
-        pairing = inner_product(R, shifted, eps)
-        total += mult * math.exp(-2.0 * float(pairing) * h)
-    return total
-
-
-def _bracket_sq_difference(R: RootSystem, mu: Weight, lam: Weight, qp: QParam) -> float:
-    rho = R.weyl_vector
-    shifted = lam + rho
-    total = 0.0
-    for eps, mult in weight_system(R, mu):
-        x = inner_product(R, shifted, eps)
-        y = inner_product(R, rho, eps)
-        total += mult * (q_number(x, qp) ** 2 - q_number(y, qp) ** 2)
+    for mult, x, _ in _pairings(R, mu, lam):
+        total += mult * math.exp(-2.0 * (x / R.denominator) * h)
     return total
 
 
 def q_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight, q) -> float:
     """sum_l a_l sum_e ([(lam+r, e)]_q^2 - [(r, e)]_q^2); exactly 0 at lam = 0."""
-    qp = _qparam(q)
-    if qp.is_classical:
-        raise InvariantError("q = 1 is rejected here; use classical_laplacian_eigenvalue")
-    check_dominant_integral(R, lam)
-    return sum(float(a) * _bracket_sq_difference(R, mu, lam, qp) for mu, a in spec.terms)
+    h = _log_q(q)
+    D = R.denominator
+
+    def term(mu: Weight) -> float:
+        total = 0.0
+        for mult, x, y in _pairings(R, mu, lam):
+            total += mult * (_bracket(x / D, h) ** 2 - _bracket(y / D, h) ** 2)
+        return total
+
+    return sum(float(a) * term(mu) for mu, a in spec.terms)
 
 
 def classical_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight):
     """The q -> 1 limit, exact rational when all coefficients are rational."""
-    check_dominant_integral(R, lam)
-    rho = R.weyl_vector
-    shifted = lam + rho
     exact = spec.is_rational
     total = Fraction(0) if exact else 0.0
     for mu, a in spec.terms:
-        inner = Fraction(0)
-        for eps, mult in weight_system(R, mu):
-            x = inner_product(R, shifted, eps)
-            y = inner_product(R, rho, eps)
-            inner += mult * (x * x - y * y)
+        inner = Fraction(sum(mult * (x * x - y * y) for mult, x, y in _pairings(R, mu, lam)),
+                         R.denominator ** 2)
         total += (a if exact else float(a)) * (inner if exact else float(inner))
     return total
 
 
 def general_functional_eigenvalue(R: RootSystem, spec: GeneralFunctionalSpec, lam: Weight, q) -> complex:
     """sum_l a_l e^{2 pi i (xi_l, lam)} C_{z_{mu_l}}(lam), phases from exact rationals."""
-    check_dominant_integral(R, lam)
     total = 0j
     for zeta, mu, a in spec.terms:
         zeta = center_reduce(R, zeta.rep)
@@ -223,7 +209,8 @@ def dynkin_index(R: RootSystem, mu: Weight, theta: Weight | None = None) -> Frac
 
     Only meaningful for a single simple factor (compute per factor for
     products); independence of the test weight t is a checked property, not
-    an assumption.
+    an assumption.  t must be dominant integral: the weight multiset is
+    Weyl-invariant, so any integral t has the index of its dominant conjugate.
     """
     if len(R.factors) != 1:
         raise InvariantError("dynkin_index needs a simple root system; handle products per factor")
@@ -231,11 +218,9 @@ def dynkin_index(R: RootSystem, mu: Weight, theta: Weight | None = None) -> Frac
         theta = Weight.fundamental(R.rank, 1)
     if theta.is_zero:
         raise InvariantError("the test weight must be nonzero")
-    total = Fraction(0)
-    for eps, mult in weight_system(R, mu):
-        p = inner_product(R, eps, theta)
-        total += mult * p * p
-    return total / inner_product(R, theta, theta)
+    # D (theta, e) = D (theta + r, e) - D (r, e)
+    total = sum(mult * (x - y) ** 2 for mult, x, y in _pairings(R, mu, theta))
+    return Fraction(total, R.denominator ** 2) / inner_product(R, theta, theta)
 
 
 def killing_form_scale(R: RootSystem) -> Fraction:
@@ -251,15 +236,11 @@ def killing_form_scale(R: RootSystem) -> Fraction:
 
 def lower_bound(R: RootSystem, spec: LaplacianSpec, q) -> float:
     """-sum_l a_l sum_e [(r, e)]_q^2, a floor for every scan eigenvalue."""
-    qp = _qparam(q)
-    if qp.is_classical:
-        raise InvariantError("q = 1 is rejected here; classical spectra are bounded below by 0")
-    rho = R.weyl_vector
+    h = _log_q(q)
     total = 0.0
     for mu, a in spec.terms:
-        for eps, mult in weight_system(R, mu):
-            y = inner_product(R, rho, eps)
-            total += float(a) * mult * q_number(y, qp) ** 2
+        for mult, _, y in _pairings(R, mu, Weight.zero(R.rank)):
+            total += float(a) * mult * _bracket(y / R.denominator, h) ** 2
     return -total
 
 
@@ -271,13 +252,12 @@ def qms_witness(R: RootSystem, mu: Weight, q) -> float:
     products).  Zero only at mu = 0; positivity certifies that the heat
     semigroup is not a quantum Markov semigroup.
     """
-    qp = _qparam(q)
-    prefactor = casimir_eigenvalue(R, mu, Weight.zero(R.rank), qp)
-    dual = minus_w0(R, mu)
     zero = Weight.zero(R.rank)
+    prefactor = casimir_eigenvalue(R, mu, zero, q)
+    dual = minus_w0(R, mu)
     total = 0.0
     for gamma in R.highest_roots:
-        diff = casimir_eigenvalue(R, gamma, dual, qp) - casimir_eigenvalue(R, gamma, zero, qp)
+        diff = casimir_eigenvalue(R, gamma, dual, q) - casimir_eigenvalue(R, gamma, zero, q)
         total += abs(diff) ** 2
     return prefactor * total
 

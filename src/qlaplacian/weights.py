@@ -7,26 +7,32 @@ Multiplicities come from the Freudenthal recursion
 
 run over the dominant weights below the highest weight m (r is the Weyl
 vector); the rest of the system is filled in by Weyl-orbit closure.  All
-arithmetic is exact rational.
+arithmetic is exact rational.  Each weight e keeps its integer row D G e
+(`RootSystem.row`), from which `pairings` reads D (lam + rho, e) and D (rho, e).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .cartan import RootSystem, Weight, check_dominant_integral, graded_key, inner_product
 from .errors import InvariantError
 
 
 class WeightSystem:
-    """The multiset of weights of the irreducible module V(highest)."""
+    """The multiset of weights of the irreducible module V(highest).
 
-    __slots__ = ("highest", "entries", "_mult")
+    `rows` holds (D G e, mult(e)) in the order of `entries`.
+    """
 
-    def __init__(self, highest: Weight, entries):
+    __slots__ = ("highest", "entries", "rows", "_mult")
+
+    def __init__(self, R: RootSystem, highest: Weight, entries):
         self.highest = highest
         self.entries = tuple(sorted(entries, key=lambda e: graded_key(e[0])))
+        self.rows = tuple((R.row(w), m) for w, m in self.entries)
         self._mult = dict(self.entries)
 
     def multiplicity(self, w: Weight) -> int:
@@ -74,7 +80,6 @@ def _dominant_candidates(R: RootSystem, mu: Weight) -> list[tuple[Weight, int]]:
         wj = Weight.fundamental(n, j + 1)
         bounds.append(int(inner_product(R, mu, wj) / R.d[j]))
     out = []
-    m = [0] * n
 
     def walk(k: int, nu: Weight, level: int):
         if k == n:
@@ -83,10 +88,8 @@ def _dominant_candidates(R: RootSystem, mu: Weight) -> list[tuple[Weight, int]]:
             return
         cur = nu
         for v in range(bounds[k] + 1):
-            m[k] = v
             walk(k + 1, cur, level + v)
             cur = cur - simple_roots[k]
-        m[k] = 0
 
     walk(0, mu, 0)
     return out
@@ -97,7 +100,7 @@ def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
     """All weights of V(mu) with multiplicities (exact, Weyl-closed)."""
     check_dominant_integral(R, mu)
     if mu.is_zero:
-        return WeightSystem(mu, [(mu, 1)])
+        return WeightSystem(R, mu, [(mu, 1)])
 
     rho = R.weyl_vector
     top_norm = inner_product(R, mu + rho, mu + rho)
@@ -138,20 +141,26 @@ def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
                 if w2 not in seen:
                     seen.add(w2)
                     stack.append(w2)
-    return WeightSystem(mu, full.items())
+    return WeightSystem(R, mu, full.items())
+
+
+def pairings(R: RootSystem, rows, lam: Weight):
+    """(mult, D (lam + rho, e), D (rho, e)) for each (D G e, mult) in `rows`, as integers.
+
+    D is `R.denominator`; `lam` is checked to be dominant integral once, here.
+    """
+    check_dominant_integral(R, lam)
+    shifted = [int(c) + 1 for c in lam.coords]
+    return ((mult, sum(map(mul, shifted, row)), sum(row)) for row, mult in rows)
 
 
 @lru_cache(maxsize=None)
 def dim_irrep(R: RootSystem, mu: Weight) -> int:
-    """Dimension of V(mu) by the product over positive roots."""
-    check_dominant_integral(R, mu)
-    rho = R.weyl_vector
-    num = Fraction(1)
-    den = Fraction(1)
-    for alpha in R.positive_roots:
-        num *= inner_product(R, mu + rho, alpha)
-        den *= inner_product(R, rho, alpha)
-    dim = num / den
-    if dim.denominator != 1:
+    """Dimension of V(mu): the product of (mu + rho, a) / (rho, a) over positive roots a."""
+    num = den = 1
+    for _, x, y in pairings(R, ((R.row(alpha), 1) for alpha in R.positive_roots), mu):
+        num *= x
+        den *= y
+    if num % den:
         raise InvariantError("dimension formula did not evaluate to an integer")
-    return int(dim)
+    return num // den
