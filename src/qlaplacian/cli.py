@@ -3,12 +3,15 @@
 Every command prints a deterministic machine-readable report (JSON by
 default, CSV on request): floats carry 12 significant digits, exact
 rationals print as "p/q", and identical inputs produce byte-identical
-output.  Exit codes: 0 ok, 1 usage, 2 invariant violation, 3 resource cap.
+output.  Exit codes: 0 ok, 1 usage, 2 invariant violation (float overflow
+and non-finite results included), 3 resource cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from fractions import Fraction
 
@@ -47,6 +50,7 @@ from .spectra import (
 from .weights import dim_irrep, weight_system
 
 LIMIT_LADDER = (0.9, 0.99, 0.999)
+MAX_RATIONAL_BITS = 3322  # about 1000 decimal digits in a numerator or denominator
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,10 +63,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _parse_rational(text: str, what: str) -> Fraction:
+    # a decimal exponent of 10000 or more would be expanded into digits before any check
+    if re.search(r"[eE][-+]?0*[1-9][0-9_]{4}", text):
+        raise UsageError(f"{what} {text!r} is out of range")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse {what} {text!r} as a rational") from exc
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_RATIONAL_BITS:
+        raise UsageError(f"{what} {text!r} has more than about 1000 digits")
+    return value
 
 
 def _parse_coeff(text: str):
@@ -135,6 +145,8 @@ def _general_spec(R: RootSystem, terms: list[str]) -> GeneralFunctionalSpec:
 
 
 def _fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise InvariantError(f"the result {x} is not finite")
     return format(float(x), ".12g")
 
 
@@ -300,6 +312,8 @@ def _cmd_witness(args) -> dict:
 
 
 def _cmd_fodc(args) -> dict:
+    if args.index_cap < 0:
+        raise UsageError(f"--index-cap must be nonnegative, got {args.index_cap}")
     R = build_root_system([args.type])
     if args.term:
         spec = _general_spec(R, args.term)
@@ -458,6 +472,9 @@ def main(argv=None) -> int:
         return 1
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"invariant violation: float overflow: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

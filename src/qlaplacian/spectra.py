@@ -41,15 +41,15 @@ DEFAULT_ROW_CAP = 100000
 
 def resolve_row_cap(explicit: int | None) -> int:
     """The scan row cap: `explicit` if given, else $QLAP_ROW_CAP, else DEFAULT_ROW_CAP."""
-    if explicit is not None:
-        return explicit
-    text = os.environ.get(ROW_CAP_ENV)
-    if text is None:
-        return DEFAULT_ROW_CAP
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"{ROW_CAP_ENV}={text!r} is not an integer") from exc
+    if explicit is None:
+        text = os.environ.get(ROW_CAP_ENV, str(DEFAULT_ROW_CAP))
+        try:
+            explicit = int(text)
+        except ValueError as exc:
+            raise UsageError(f"{ROW_CAP_ENV}={text!r} is not an integer") from exc
+    if explicit < 0:
+        raise UsageError(f"the row cap must be nonnegative, got {explicit}")
+    return explicit
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,7 @@ def pairings(R: RootSystem, rows, lam: Weight):
     D is `R.denominator`; `lam` is checked to be dominant integral once, here.
     """
     check_dominant_integral(R, lam)
+    # rho is (1, ..., 1) in the fundamental-weight basis
     shifted = [int(c) + 1 for c in lam.coords]
     return ((mult, sum(map(mul, shifted, row)), sum(row)) for row, mult in rows)
 

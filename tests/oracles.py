@@ -3,7 +3,10 @@
 Nothing here shares an algorithm with the package: positive roots come from
 reflection closure, invariant factors from determinantal divisors, and
 characters from the alternating Weyl sum with a brute-forced Weyl group
-(rank <= 2 only).
+(rank <= 2 only).  The `reference_*` eigenvalue formulas pair weights with
+`inner_product` in exact `Fraction`s, one weight at a time, where the package
+reads integer pairings over a common denominator; they keep the package's
+summation order and per-term float rounding, so the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from fractions import Fraction
 
 from qlaplacian.cartan import RootSystem, Weight, inner_product
+from qlaplacian.weights import weight_system
 
 
 def rational_det(matrix) -> Fraction:
@@ -143,3 +147,81 @@ def weyl_character_value(R: RootSystem, weyl, mu: Weight, t: Weight) -> float:
 def direct_character_value(R: RootSystem, system, t: Weight) -> float:
     """sum over the weight multiset of e^{(weight, t)}."""
     return sum(m * math.exp(float(inner_product(R, w, t))) for w, m in system)
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue formulas from per-weight Fraction pairings
+# ---------------------------------------------------------------------------
+
+
+def _reference_bracket(x: Fraction, h: float) -> float:
+    return math.sinh(float(x) * h) / math.sinh(h)
+
+
+def reference_casimir(R: RootSystem, mu: Weight, lam: Weight, q: float) -> float:
+    h = math.log(q)
+    shifted = lam + R.weyl_vector
+    total = 0.0
+    for eps, mult in weight_system(R, mu):
+        total += mult * math.exp(-2.0 * float(inner_product(R, shifted, eps)) * h)
+    return total
+
+
+def reference_q_laplacian(R: RootSystem, spec, lam: Weight, q: float) -> float:
+    h = math.log(q)
+    rho = R.weyl_vector
+    shifted = lam + rho
+
+    def term(mu):
+        total = 0.0
+        for eps, mult in weight_system(R, mu):
+            x = inner_product(R, shifted, eps)
+            y = inner_product(R, rho, eps)
+            total += mult * (_reference_bracket(x, h) ** 2 - _reference_bracket(y, h) ** 2)
+        return total
+
+    return sum(float(a) * term(mu) for mu, a in spec.terms)
+
+
+def reference_classical(R: RootSystem, spec, lam: Weight):
+    rho = R.weyl_vector
+    shifted = lam + rho
+    exact = spec.is_rational
+    total = Fraction(0) if exact else 0.0
+    for mu, a in spec.terms:
+        inner = Fraction(0)
+        for eps, mult in weight_system(R, mu):
+            x = inner_product(R, shifted, eps)
+            y = inner_product(R, rho, eps)
+            inner += mult * (x * x - y * y)
+        total += (a if exact else float(a)) * (inner if exact else float(inner))
+    return total
+
+
+def reference_lower_bound(R: RootSystem, spec, q: float) -> float:
+    h = math.log(q)
+    rho = R.weyl_vector
+    total = 0.0
+    for mu, a in spec.terms:
+        for eps, mult in weight_system(R, mu):
+            total += float(a) * mult * _reference_bracket(inner_product(R, rho, eps), h) ** 2
+    return -total
+
+
+def reference_dynkin_index(R: RootSystem, mu: Weight, theta: Weight) -> Fraction:
+    total = Fraction(0)
+    for eps, mult in weight_system(R, mu):
+        p = inner_product(R, eps, theta)
+        total += mult * p * p
+    return total / inner_product(R, theta, theta)
+
+
+def reference_dim(R: RootSystem, mu: Weight) -> Fraction:
+    """Weyl's product over positive roots, as a Fraction (an integer when it is right)."""
+    rho = R.weyl_vector
+    num = Fraction(1)
+    den = Fraction(1)
+    for alpha in R.positive_roots:
+        num *= inner_product(R, mu + rho, alpha)
+        den *= inner_product(R, rho, alpha)
+    return num / den

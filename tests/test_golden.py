@@ -115,6 +115,26 @@ CASES = {
                              "--row-cap", "3"], {}),
     "reject_fodc_index_cap": (["fodc", "--type", "A2", "--max-height", "1", "--include-center",
                                "--index-cap", "100"], {}),
+    # rejections: negative caps are usage errors (0 stays a valid cap)
+    "reject_spectrum_negative_row_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
+                                          "--radius", "2", "--row-cap", "-1"], {}),
+    "reject_spectrum_negative_env_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
+                                          "--radius", "2"], {ROW_CAP_ENV: "-1"}),
+    "reject_fodc_negative_index_cap": (["fodc", "--type", "A2", "--max-height", "1",
+                                        "--index-cap", "-3"], {}),
+    # rejections: float overflow and non-finite results
+    "reject_spectrum_coefficient_overflow": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e400",
+                                              "--q", "0.5", "--radius", "2"], {}),
+    "reject_spectrum_tiny_q": (["spectrum", "--type", "A1", *A1_TERM, "--q", "1e-300",
+                                "--radius", "2"], {}),
+    "reject_witness_tiny_q": (["witness", "--type", "A1", "--mu", "1", "--q", "1e-300"], {}),
+    "reject_spectrum_infinite_eigenvalue": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e308",
+                                             "--q", "0.5", "--radius", "20"], {}),
+    # rejections: rationals too long to expand or to print
+    "reject_coefficient_digits": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e-5000",
+                                   "--q", "0.5", "--radius", "2"], {}),
+    "reject_coefficient_exponent": (["limit", "--type", "A1", "--term", "mu=1:a=1e999999999",
+                                     "--radius", "2"], {}),
     # rejections: heat times
     "reject_heat_t_negative": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "2",
                                 "--t-grid", "-1"], {}),
