@@ -91,6 +91,10 @@ CASES = {
     "weights_f4": (["weights", "--type", "F4", "--mu", "0,0,0,1"], {}),
     "weights_a1xa2": (["weights", "--type", "A1xA2", "--mu", "1,1,0"], {}),
     "weights_a2xg2_lower": (["weights", "--type", "a2xg2", "--mu", "1,1,1,0"], {}),
+    # weights: the heavy representations
+    "weights_e8_adjoint": (["weights", "--type", "E8", "--mu", "0,0,0,0,0,0,0,1"], {}),
+    "weights_e7_two_w7": (["weights", "--type", "E7", "--mu", "0,0,0,0,0,0,2"], {}),
+    "weights_f4_1100": (["weights", "--type", "F4", "--mu", "1,1,0,0"], {}),
     # rejections: malformed labels and unknown families exit 1, bad ranks exit 2
     **{f"reject_label_{label}": (["center", "--type", label], {})
        for label in ("Q7", "H4", "A2y", "a", "G", "A1xx", "E9x", "C2", "E9")},
