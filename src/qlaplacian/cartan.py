@@ -1,20 +1,22 @@
 """Exact root-system data for products of simple Lie types.
 
 Everything is stored in the fundamental-weight basis: a weight is a vector
-of rationals (c_1, ..., c_N) standing for sum_j c_j w_j, and the simple
-root a_j is the j-th column of the Cartan matrix.  The invariant bilinear
-form is normalized so that the short roots of every simple factor have
-squared length 2; an optional global positive rational scale multiplies
-the whole form.  No floating point enters this module.
+of rationals (c_1, ..., c_N) standing for sum_j c_j w_j, held as `int`s
+where integral, and the simple root a_j is the j-th column of the Cartan
+matrix.  The invariant bilinear form is normalized so that the short roots
+of every simple factor have squared length 2; an optional global positive
+rational scale multiplies the whole form.  It is held once, as the integer
+matrix D G over one denominator D.  No floating point enters this module.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvariantError, LabelError, ResourceCapError
@@ -68,22 +70,25 @@ def parse_type_label(label: str) -> tuple[SimpleType, ...]:
 
 @dataclass(frozen=True)
 class Weight:
-    """A vector of exact rationals in the fundamental-weight basis."""
+    """A vector of exact rationals in the fundamental-weight basis.
 
-    coords: tuple[Fraction, ...]
+    `of` stores an integral coordinate as `int` and any other as `Fraction`.
+    """
+
+    coords: tuple[int | Fraction, ...]
 
     @staticmethod
     def of(values: Iterable) -> "Weight":
-        return Weight(tuple(Fraction(v) for v in values))
+        return Weight(tuple(_exact(v) for v in values))
 
     @staticmethod
     def zero(rank: int) -> "Weight":
-        return Weight((Fraction(0),) * rank)
+        return Weight((0,) * rank)
 
     @staticmethod
     def fundamental(rank: int, j: int) -> "Weight":
         """The fundamental weight w_j (1-based index)."""
-        return Weight(tuple(Fraction(1 if i == j - 1 else 0) for i in range(rank)))
+        return Weight(tuple(int(i == j - 1) for i in range(rank)))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -96,7 +101,7 @@ class Weight:
 
     def scaled(self, c) -> "Weight":
         c = Fraction(c)
-        return Weight(tuple(c * a for a in self.coords))
+        return Weight.of(c * a for a in self.coords)
 
     @property
     def is_integral(self) -> bool:
@@ -111,19 +116,27 @@ class Weight:
         return all(a >= 0 for a in self.coords)
 
     @property
-    def height(self) -> Fraction:
+    def height(self) -> int | Fraction:
         """Coordinate sum; the grading used for deterministic orderings."""
-        return sum(self.coords, Fraction(0))
+        return sum(self.coords)
 
     def serialize(self) -> str:
         return ",".join(str(a) for a in self.coords)
 
     @staticmethod
     def parse(text: str) -> "Weight":
-        return Weight.of(Fraction(part) for part in text.split(","))
+        return Weight.of(text.split(","))
 
     def __repr__(self):
         return f"Weight({self.serialize()})"
+
+
+def _exact(value) -> int | Fraction:
+    """An integral rational as `int`, any other as `Fraction`."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def graded_key(w: Weight):
@@ -153,35 +166,35 @@ class RootSystem:
     """Immutable Cartan datum for a product of simple types.
 
     cartan[i][j] = 2(a_i, a_j)/(a_i, a_i); the j-th simple root has
-    fundamental-weight coordinates equal to the j-th column.  gram holds the
-    pairwise products of the fundamental weights, so that (x, y) = x^T G y;
-    form is the integer matrix D G, with D = denominator the least one.
+    fundamental-weight coordinates equal to the j-th column.  The invariant
+    form is held once: with G the Gram matrix of the fundamental weights,
+    so that (x, y) = x^T G y, `form` is the integer matrix D G and
+    `denominator` the least such D.  Every field is exact and hashable, and
+    all of them take part in equality.
     """
 
     factors: tuple[SimpleType, ...]
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[Fraction, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
     positive_roots: tuple[Weight, ...]
     w0_word: tuple[int, ...]
     w0_perm: tuple[int, ...]
     highest_roots: tuple[Weight, ...]
     weyl_vector: Weight
     scale: Fraction
-    denominator: int = field(compare=False)
-    form: tuple[tuple[int, ...], ...] = field(compare=False)
+    denominator: int
+    form: tuple[tuple[int, ...], ...]
 
     # -- small structural helpers ------------------------------------------
 
     def row(self, w: Weight) -> tuple[int, ...]:
-        """D G w for an integral weight w, so that D (x, w) is the dot product x . row."""
-        coords = [int(c) for c in w.coords]
-        return tuple(sum(g * c for g, c in zip(line, coords)) for line in self.form)
+        """D G w, so that D (x, w) is the dot product x . row; integers when w is integral."""
+        return tuple(sum(map(mul, line, w.coords)) for line in self.form)
 
     def simple_root(self, j: int) -> Weight:
         """The simple root a_j (1-based), read off the Cartan matrix column."""
-        return Weight(tuple(Fraction(self.cartan[i][j - 1]) for i in range(self.rank)))
+        return Weight(tuple(line[j - 1] for line in self.cartan))
 
     def reflect(self, x: Weight, j: int) -> Weight:
         """Apply the simple reflection s_j (1-based): x - <x, a_j-check> a_j."""
@@ -313,17 +326,15 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     # G = D M^{-1} D with M_ij = d_i a_ij the symmetrized Cartan matrix.
     m = [[Fraction(d0[i] * cartan[i][j]) for j in range(n)] for i in range(n)]
     minv = _invert_rational(m)
-    gram = tuple(
-        tuple(scale * d0[i] * minv[i][j] * d0[j] for j in range(n)) for i in range(n)
-    )
+    gram = [[scale * d0[i] * minv[i][j] * d0[j] for j in range(n)] for i in range(n)]
     denominator = math.lcm(*(g.denominator for line in gram for g in line))
     form = tuple(tuple(int(g * denominator) for g in line) for line in gram)
     d = tuple(scale * Fraction(dj) for dj in d0)
     cartan_t = tuple(tuple(row) for row in cartan)
-    rho = Weight((Fraction(1),) * n)
+    rho = Weight((1,) * n)
 
     skeleton = RootSystem(
-        factors=parsed, rank=n, cartan=cartan_t, d=d, gram=gram,
+        factors=parsed, rank=n, cartan=cartan_t, d=d,
         positive_roots=(), w0_word=(), w0_perm=(), highest_roots=(),
         weyl_vector=rho, scale=scale, denominator=denominator, form=form,
     )
@@ -385,16 +396,10 @@ def check_dominant_integral(R: RootSystem, w: Weight):
 
 
 def inner_product(R: RootSystem, x: Weight, y: Weight) -> Fraction:
-    """The invariant bilinear form (x, y) = x^T G y, exactly."""
+    """The invariant bilinear form (x, y) = x^T G y, exactly: x . (D G y) / D."""
     _check_length(R, x)
     _check_length(R, y)
-    total = Fraction(0)
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = R.gram[i]
-        total += xi * sum(row[j] * yj for j, yj in enumerate(y.coords) if yj != 0)
-    return total
+    return Fraction(sum(map(mul, x.coords, R.row(y))), R.denominator)
 
 
 def norm_squared(R: RootSystem, x: Weight) -> Fraction:

@@ -10,6 +10,7 @@ and non-finite results included), 3 resource cap.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import re
 import sys
@@ -78,9 +79,12 @@ def _parse_rational(text: str, what: str) -> Fraction:
 def _parse_coeff(text: str):
     if "j" in text or "J" in text:
         try:
-            return complex(text)
+            value = complex(text)
         except ValueError as exc:
             raise UsageError(f"cannot parse coefficient {text!r}") from exc
+        if not cmath.isfinite(value):
+            raise UsageError(f"coefficient {text!r} is not finite")
+        return value
     return _parse_rational(text, "coefficient")
 
 
@@ -169,16 +173,10 @@ def _json_value(value) -> str:
     if isinstance(value, complex):
         return _json_value({"re": value.real, "im": value.imag})
     if isinstance(value, Weight):
-        return _json_value(_weight_json(value))
+        return _json_value(list(value.coords))
     if isinstance(value, CenterElement):
         return _json_value(list(value.rep))
     raise TypeError(f"cannot render {type(value)!r}")
-
-
-def _weight_json(w: Weight):
-    if w.is_integral:
-        return [int(c) for c in w.coords]
-    return [str(c) for c in w.coords]
 
 
 def _csv_cell(value) -> str:
@@ -230,7 +228,7 @@ def _emit(text: str, output: str | None):
 
 
 def _terms_json(spec: LaplacianSpec):
-    return [{"mu": _weight_json(mu), "a": a} for mu, a in spec.terms]
+    return [{"mu": mu, "a": a} for mu, a in spec.terms]
 
 
 # ---------------------------------------------------------------------------

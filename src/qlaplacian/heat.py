@@ -35,7 +35,7 @@ class BlockCoefficients:
     def of(R: RootSystem, data) -> "BlockCoefficients":
         blocks = []
         for lam, matrix in (data.items() if isinstance(data, dict) else data):
-            lam = lam if isinstance(lam, Weight) else Weight.of(lam)
+            lam = Weight.of(lam.coords if isinstance(lam, Weight) else lam)
             n = dim_irrep(R, lam)
             rows = tuple(tuple(complex(v) for v in row) for row in matrix)
             if len(rows) != n or any(len(row) != n for row in rows):
@@ -51,7 +51,7 @@ class BlockCoefficients:
 def blocks_to_json(coeffs: BlockCoefficients) -> list:
     """JSON form: a list of {"lambda": int[], "matrix": [[{"re", "im"}, ...], ...]}."""
     return [{
-        "lambda": [int(c) for c in lam.coords],
+        "lambda": list(lam.coords),
         "matrix": [[{"re": v.real, "im": v.imag} for v in row] for row in matrix],
     } for lam, matrix in coeffs.blocks]
 

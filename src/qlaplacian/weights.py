@@ -1,14 +1,20 @@
 """Weight systems with multiplicities and dimensions of irreducibles.
 
-Multiplicities come from the Freudenthal recursion
+The dominant weights of V(m) are those reached from the highest weight m by
+subtracting positive roots while staying dominant: every cover in the
+dominance order of dominant weights is a positive root (Stembridge 1998).
+Their multiplicities come from the Freudenthal recursion
 
     mult(v) * ((m+r, m+r) - (v+r, v+r)) =
         2 * sum_{a in pos roots} sum_{k >= 1} mult(v + k a) * (v + k a, a)
 
-run over the dominant weights below the highest weight m (r is the Weyl
-vector); the rest of the system is filled in by Weyl-orbit closure.  All
-arithmetic is exact rational.  Each weight e keeps its integer row D G e
-(`RootSystem.row`), from which `pairings` reads D (lam + rho, e) and D (rho, e).
+(r is the Weyl vector), run over the dominant weights only, in order of
+decreasing (v+r, v+r): a dominant weight above v has the larger norm, and
+the dominant representative of v + k a lies above v.  The inner sums read
+the integer pairings D (x, a) off the row D G a (`RootSystem.row`).  The rest
+of the system is filled in by Weyl-orbit closure.  Each weight e keeps its
+integer row D G e, from which `pairings` reads D (lam + rho, e) and
+D (rho, e).  Weights hold `int` coordinates throughout.
 """
 
 from __future__ import annotations
@@ -67,66 +73,46 @@ def _dominant_representative(R: RootSystem, x: Weight) -> Weight:
         x = R.reflect(x, j)
 
 
-def _dominant_candidates(R: RootSystem, mu: Weight) -> list[tuple[Weight, int]]:
-    """Dominant weights mu - sum m_j a_j, with the level sum(m_j).
-
-    Every such lattice point is a weight of V(mu); the coefficient m_j equals
-    (mu - v, w_j-check), so m_j <= (mu, w_j-check) bounds the search box.
-    """
-    n = R.rank
-    simple_roots = [R.simple_root(j) for j in range(1, n + 1)]
-    bounds = []
-    for j in range(n):
-        wj = Weight.fundamental(n, j + 1)
-        bounds.append(int(inner_product(R, mu, wj) / R.d[j]))
-    out = []
-
-    def walk(k: int, nu: Weight, level: int):
-        if k == n:
-            if nu.is_dominant:
-                out.append((nu, level))
-            return
-        cur = nu
-        for v in range(bounds[k] + 1):
-            walk(k + 1, cur, level + v)
-            cur = cur - simple_roots[k]
-
-    walk(0, mu, 0)
-    return out
+def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
+    """The dominant weights of V(mu): mu and all it reaches by dominant descents."""
+    found = {mu}
+    stack = [mu]
+    while stack:
+        nu = stack.pop()
+        for alpha in R.positive_roots:
+            x = nu - alpha
+            if x.is_dominant and x not in found:
+                found.add(x)
+                stack.append(x)
+    return found
 
 
 @lru_cache(maxsize=None)
 def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
     """All weights of V(mu) with multiplicities (exact, Weyl-closed)."""
     check_dominant_integral(R, mu)
-    if mu.is_zero:
-        return WeightSystem(R, mu, [(mu, 1)])
-
     rho = R.weyl_vector
-    top_norm = inner_product(R, mu + rho, mu + rho)
-    dominant = sorted(_dominant_candidates(R, mu),
-                      key=lambda pair: (pair[1], graded_key(pair[0])))
+    norms = {nu: inner_product(R, nu + rho, nu + rho) for nu in _dominant_weights(R, mu)}
+    roots = []  # each positive root a with its row D G a and D (a, a)
+    for alpha in R.positive_roots:
+        row = R.row(alpha)
+        roots.append((alpha, row, sum(map(mul, alpha.coords, row))))
 
-    mult: dict[Weight, int] = {}
-    for nu, level in dominant:
-        if level == 0:
-            mult[nu] = 1
-            continue
-        total = Fraction(0)
-        for alpha in R.positive_roots:
-            k = 1
+    mult = {mu: 1}
+    for nu in sorted(norms, key=norms.get, reverse=True)[1:]:
+        total = 0
+        for alpha, row, step in roots:
+            x, pair = nu, sum(map(mul, nu.coords, row))
             while True:
-                x = nu + alpha.scaled(k)
+                x, pair = x + alpha, pair + step
                 m_x = mult.get(_dominant_representative(R, x), 0)
                 if m_x == 0:
                     break
-                total += m_x * inner_product(R, x, alpha)
-                k += 1
-        denom = top_norm - inner_product(R, nu + rho, nu + rho)
-        value = 2 * total / denom
+                total += m_x * pair
+        value = Fraction(2 * total, R.denominator) / (norms[mu] - norms[nu])
         if value.denominator != 1 or value <= 0:
             raise InvariantError(f"Freudenthal recursion produced non-integer multiplicity at {nu.serialize()}")
-        mult[nu] = int(value)
+        mult[nu] = value.numerator
 
     # Close the dominant layer under the Weyl group; mult is Weyl-invariant.
     full: dict[Weight, int] = {}
@@ -151,7 +137,7 @@ def pairings(R: RootSystem, rows, lam: Weight):
     """
     check_dominant_integral(R, lam)
     # rho is (1, ..., 1) in the fundamental-weight basis
-    shifted = [int(c) + 1 for c in lam.coords]
+    shifted = [c + 1 for c in lam.coords]
     return ((mult, sum(map(mul, shifted, row)), sum(row)) for row, mult in rows)
 
 

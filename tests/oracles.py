@@ -1,12 +1,13 @@
 """Independent oracles the tests use to derive expected values.
 
 Nothing here shares an algorithm with the package: positive roots come from
-reflection closure, invariant factors from determinantal divisors, and
-characters from the alternating Weyl sum with a brute-forced Weyl group
-(rank <= 2 only).  The `reference_*` eigenvalue formulas pair weights with
-`inner_product` in exact `Fraction`s, one weight at a time, where the package
-reads integer pairings over a common denominator; they keep the package's
-summation order and per-term float rounding, so the two must agree exactly.
+reflection closure, dominant weights from the box walk, invariant factors
+from determinantal divisors, and characters from the alternating Weyl sum
+with a brute-forced Weyl group (rank <= 2 only).  The `reference_*`
+eigenvalue formulas pair weights with `inner_product` in exact `Fraction`s,
+one weight at a time, where the package reads integer pairings over a
+common denominator; they keep the package's summation order and per-term
+float rounding, so the two must agree exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +79,24 @@ def _root_coefficients(R: RootSystem, beta: Weight) -> list[Fraction]:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+def reference_dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
+    """Dominant weights of V(mu) by the box walk: every dominant mu - sum m_j a_j.
+
+    Every such lattice point is a weight of V(mu).  The coefficient m_j is at
+    most the j-th simple-root coordinate of mu (solved from the Cartan matrix),
+    so the walk visits the whole box prod (m_j + 1), one point at a time.
+    """
+    n = R.rank
+    bounds = [math.floor(c) for c in _root_coefficients(R, mu)]
+    found = set()
+    for steps in itertools.product(*(range(b + 1) for b in bounds)):
+        nu = Weight.of(mu.coords[i] - sum(m * R.cartan[i][j] for j, m in enumerate(steps))
+                       for i in range(n))
+        if nu.is_dominant:
+            found.add(nu)
+    return found
 
 
 def invariant_factors_by_minors(matrix) -> tuple[int, ...]:

@@ -49,6 +49,19 @@ def test_build_parses_string_factors_with_the_label_grammar():
             build_root_system([bad])
 
 
+def test_weight_of_stores_integral_coordinates_as_int():
+    w = Weight.of([1, Fraction(4, 2), "3/3", Fraction(1, 2), 0.25])
+    assert [type(c) for c in w.coords] == [int, int, int, Fraction, Fraction]
+    assert w == Weight((Fraction(1), Fraction(2), 1, Fraction(1, 2), Fraction(1, 4)))
+    assert hash(w) == hash(Weight((Fraction(1), Fraction(2), 1, Fraction(1, 2), Fraction(1, 4))))
+    assert repr(w) == "Weight(1,2,1,1/2,1/4)"
+    assert w.scaled(2).coords == (2, 4, 2, 1, Fraction(1, 2))
+    r = R("G2")
+    built = [r.weyl_vector, *r.positive_roots, *r.highest_roots, r.simple_root(2),
+             Weight.zero(2), Weight.fundamental(2, 1)]
+    assert all(type(c) is int for w in built for c in w.coords)
+
+
 def test_a1_is_forced():
     r = R("A1")
     assert len(r.positive_roots) == 1
@@ -88,11 +101,12 @@ def test_inner_product_examples():
 def test_gram_cartan_identity_and_symmetry():
     for label in ALL_LABELS:
         r = R(label)
+        gram = [[Fraction(r.form[i][j], r.denominator) for j in range(r.rank)] for i in range(r.rank)]
         for i in range(r.rank):
             for j in range(r.rank):
-                lhs = sum(r.gram[i][k] * r.cartan[k][j] for k in range(r.rank))
+                lhs = sum(gram[i][k] * r.cartan[k][j] for k in range(r.rank))
                 assert lhs == (r.d[j] if i == j else 0), (label, i, j)
-                assert r.gram[i][j] == r.gram[j][i]
+                assert gram[i][j] == gram[j][i]
 
 
 def test_gram_positive_definite_on_random_vectors():

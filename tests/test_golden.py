@@ -134,6 +134,9 @@ CASES = {
     "reject_witness_tiny_q": (["witness", "--type", "A1", "--mu", "1", "--q", "1e-300"], {}),
     "reject_spectrum_infinite_eigenvalue": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e308",
                                              "--q", "0.5", "--radius", "20"], {}),
+    # rejections: non-finite complex coefficients
+    "reject_fodc_coefficient_nanj": (["fodc", "--type", "A2", "--term", "mu=1,0:a=nanj"], {}),
+    "reject_fodc_coefficient_1e400j": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1e400j"], {}),
     # rejections: rationals too long to expand or to print
     "reject_coefficient_digits": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e-5000",
                                    "--q", "0.5", "--radius", "2"], {}),

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,9 @@ def test_block_json_round_trip():
     coeffs = BlockCoefficients.of(A1, {(0,): [[2]], (1,): [[1 + 1j, 0], [0.5, -3j]]})
     payload = json.dumps(blocks_to_json(coeffs))
     assert blocks_from_json(A1, json.loads(payload)) == coeffs
+    # a weight built with Fraction coordinates still renders as JSON integers
+    rational = BlockCoefficients.of(A1, [(Weight((Fraction(2),)), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    assert json.dumps(blocks_to_json(rational)).startswith('[{"lambda": [2], ')
 
 
 def test_markov_verdict_is_negative_for_laplacians():

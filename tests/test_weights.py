@@ -11,8 +11,10 @@ from qlaplacian.weights import dim_irrep, weight_system
 from oracles import (
     brute_weyl_group,
     direct_character_value,
+    reference_dominant_weights,
     weyl_character_value,
 )
+from test_cartan import ALL_LABELS
 
 
 def R(label):
@@ -115,7 +117,8 @@ def test_weights_lie_below_highest():
             diff = mu - w
             # coefficients in the simple-root basis: m_j = (diff, w_j)/d_j
             for j in range(r.rank):
-                c = sum(r.gram[i][j] * diff.coords[i] for i in range(r.rank)) / r.d[j]
+                c = sum(Fraction(r.form[i][j], r.denominator) * diff.coords[i]
+                        for i in range(r.rank)) / r.d[j]
                 assert c.denominator == 1 and c >= 0
 
 
@@ -147,3 +150,27 @@ def test_cache_is_keyed_by_value():
     a = build_root_system(parse_type_label("A2"))
     b = build_root_system(parse_type_label("A2"))
     assert weight_system(a, Weight.of([1, 1])) is weight_system(b, Weight.of([1, 1]))
+
+
+@pytest.mark.parametrize("label, scale", [(label, 1) for label in ALL_LABELS]
+                         + [("A2xB2", 1), ("A1xA1xA1", 1), ("G2xA1", Fraction(3, 2))])
+def test_descent_finds_the_box_walk_dominant_weights(label, scale):
+    r = build_root_system([label], scale)
+    for mu in dominant_up_to(r, 3 if r.rank <= 2 else 2):
+        dominant = {w for w, _ in weight_system(r, mu) if w.is_dominant}
+        assert dominant == reference_dominant_weights(r, mu), (label, mu)
+
+
+@pytest.mark.parametrize("label, mu, distinct", [
+    ("E6", (0, 0, 1, 0, 0, 0), 243),
+    ("E7", (0, 0, 0, 0, 0, 0, 2), 939),
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 1), 241),
+    # the orbits of 2w8, w7, w1, w8 and 0: 240 + 6720 + 2160 + 240 + 1
+    ("E8", (0, 0, 0, 0, 0, 0, 0, 2), 9361),
+    ("F4", (1, 1, 0, 0), 1801),
+])
+def test_large_representations(label, mu, distinct):
+    r = R(label)
+    ws = weight_system(r, Weight.of(mu))
+    assert ws.dimension == dim_irrep(r, Weight.of(mu))
+    assert len(ws) == distinct
