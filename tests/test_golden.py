@@ -64,6 +64,9 @@ CASES = {
     "fodc_a2_h1": (["fodc", "--type", "A2", "--max-height", "1"], {}),
     "fodc_b2_h1_center": (["fodc", "--type", "B2", "--max-height", "1", "--include-center"], {}),
     "fodc_a1xa1_h1": (["fodc", "--type", "A1xA1", "--max-height", "1"], {}),
+    # fodc enumeration: classes that are not half coroots need their (-zeta, mu) partner
+    "fodc_a3_h0_center": (["fodc", "--type", "A3", "--max-height", "0", "--include-center"], {}),
+    "fodc_a2_h1_center": (["fodc", "--type", "A2", "--max-height", "1", "--include-center"], {}),
     # fodc validation
     "fodc_validate_a2": (["fodc", "--type", "A2", *A2_TERMS], {}),
     "fodc_validate_zeta": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1:zeta=1,0"], {}),
