@@ -29,7 +29,6 @@ from .cartan import (
 from .errors import InvariantError, LabelError, ResourceCapError, UsageError
 from .fodc import (
     FodcIndex,
-    FodcIndexReport,
     FunctionalReport,
     StarReport,
     admits_star_structure,

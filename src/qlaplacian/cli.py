@@ -332,19 +332,19 @@ def _cmd_fodc(args) -> dict:
         }
     if args.max_height is None:
         raise UsageError("fodc needs either --term (validate) or --max-height (enumerate)")
-    reports = enumerate_fodc_indices(R, args.max_height, args.include_center,
+    calculi = enumerate_fodc_indices(R, args.max_height, args.include_center,
                                      max_indices=args.index_cap)
     return {
         "command": "fodc",
         "type": args.type,
         "max_height": args.max_height,
         "include_center": args.include_center,
-        "count": len(reports),
+        "count": len(calculi),
         "rows": [{
-            "pairs": [{"zeta": z, "mu": mu} for z, mu in rep.index.pairs],
-            "dimension": rep.dimension,
-            "star_admissible": rep.star.admissible,
-        } for rep in reports],
+            "pairs": [{"zeta": z, "mu": mu} for z, mu in pairs],
+            "dimension": dimension,
+            "star_admissible": star_admissible,
+        } for pairs, dimension, star_admissible in calculi],
     }
 
 

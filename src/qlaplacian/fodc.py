@@ -164,25 +164,15 @@ def validate_functional(R: RootSystem, spec: GeneralFunctionalSpec) -> Functiona
                             q_laplacian=q_laplacian, reasons=tuple(reasons))
 
 
-@dataclass(frozen=True)
-class FodcIndexReport:
-    """One enumerated calculus: its index, dimension, star verdict, and the
-    class of center functionals inducing it (the nonzero pairs)."""
-
-    index: FodcIndex
-    dimension: int
-    star: StarReport
-    functional_class: tuple[Pair, ...]
-
-
 def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
-                           max_indices: int = DEFAULT_INDEX_CAP) -> tuple[FodcIndexReport, ...]:
+                           max_indices: int = DEFAULT_INDEX_CAP) -> tuple[tuple[tuple[Pair, ...], int, bool], ...]:
     """All calculi built from pairs (zeta, mu) with height(mu) <= max_height.
 
-    Subsets of the pair pool are emitted in bitmask order, beginning with the
-    zero calculus; (0, 0) is excluded from the pool since it only names the
-    zero summand.  The weight walk stops as soon as the pool would hold more
-    than log2(max_indices) pairs, so the cap is checked before the work.
+    Each calculus is a (pairs, dimension, star_admissible) triple.  Subsets of
+    the pair pool are emitted in bitmask order, beginning with the zero
+    calculus; (0, 0) is excluded from the pool since it only names the zero
+    summand.  The weight walk stops as soon as the pool would hold more than
+    log2(max_indices) pairs, so the cap is checked before the work.
     """
     if max_height < 0:
         raise InvariantError("max_height must be nonnegative")
@@ -195,14 +185,13 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
         raise ResourceCapError(f"enumeration exceeds the cap of {max_indices} calculi") from None
     pool = [(z, mu) for z in zetas for mu in mus]
     pool = sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key)
-    reports = []
+    bits = {pair: 1 << i for i, pair in enumerate(pool)}
+    sizes = [dim_irrep(R, mu) ** 2 for _, mu in pool]
+    # the bit of the (-zeta, mu) partner each pair needs; 0 if zeta is half a coroot
+    needs = [0 if is_half_coroot(R, z) else bits[(center_negate(R, z), mu)] for z, mu in pool]
+    calculi = []
     for mask in range(1 << len(pool)):
-        chosen = tuple(pool[i] for i in range(len(pool)) if mask >> i & 1)
-        idx = FodcIndex(chosen)
-        reports.append(FodcIndexReport(
-            index=idx,
-            dimension=fodc_dimension(R, idx),
-            star=admits_star_structure(R, idx),
-            functional_class=idx.nonzero_pairs,
-        ))
-    return tuple(reports)
+        chosen = [i for i in range(len(pool)) if mask >> i & 1]
+        calculi.append((tuple(pool[i] for i in chosen), sum(sizes[i] for i in chosen),
+                        all(mask & needs[i] == needs[i] for i in chosen)))
+    return tuple(calculi)

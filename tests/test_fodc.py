@@ -173,31 +173,35 @@ def test_self_dual_types_accept_single_terms():
 
 
 def test_enumeration_examples():
-    reports = enumerate_fodc_indices(A1, 1, include_center=True)
-    assert len(reports) == 8
-    assert reports[0].index.pairs == () and reports[0].dimension == 0
-    assert all(rep.star.admissible for rep in reports)  # A1 center is half-coroot
-    pool = {pair for rep in reports for pair in rep.index.pairs}
+    calculi = enumerate_fodc_indices(A1, 1, include_center=True)
+    assert len(calculi) == 8
+    assert calculi[0][:2] == ((), 0)
+    assert all(star for _, _, star in calculi)  # A1 center is half-coroot
+    pool = {pair for pairs, _, _ in calculi for pair in pairs}
     assert len(pool) == 3
 
-    reports = enumerate_fodc_indices(A2, 1, include_center=False)
-    assert len(reports) == 4
-    pool = {pair for rep in reports for pair in rep.index.pairs}
+    calculi = enumerate_fodc_indices(A2, 1, include_center=False)
+    assert len(calculi) == 4
+    pool = {pair for pairs, _, _ in calculi for pair in pairs}
     assert pool == {(zero(A2), Weight.of([1, 0])), (zero(A2), Weight.of([0, 1]))}
-    dims = sorted(rep.dimension for rep in reports)
+    dims = sorted(dimension for _, dimension, _ in calculi)
     assert dims == [0, 9, 9, 18]
 
-    reports = enumerate_fodc_indices(A2, 0, include_center=False)
-    assert len(reports) == 1 and reports[0].dimension == 0
+    calculi = enumerate_fodc_indices(A2, 0, include_center=False)
+    assert len(calculi) == 1 and calculi[0][1] == 0
 
 
 def test_enumeration_annotations_and_cap():
-    reports = enumerate_fodc_indices(A2, 1, include_center=True, max_indices=1 << 9)
-    assert len(reports) == 2 ** 8  # 3 classes x 3 weights minus (0,0)
-    for rep in reports:
-        assert rep.dimension == fodc_dimension(A2, rep.index)
-        assert rep.functional_class == rep.index.nonzero_pairs
-        assert rep.star.admissible == admits_star_structure(A2, rep.index).admissible
+    a2 = enumerate_fodc_indices(A2, 1, include_center=True, max_indices=1 << 9)
+    assert len(a2) == 2 ** 8  # 3 classes x 3 weights minus (0,0)
+    # A3: the center is Z4, class 2 is half a coroot and classes 1 and 3 are partners
+    a3 = enumerate_fodc_indices(R("A3"), 0, include_center=True)
+    assert len(a3) == 2 ** 3
+    for r, calculi in ((A2, a2), (R("A3"), a3)):
+        for pairs, dimension, star_admissible in calculi:
+            idx = FodcIndex(pairs)
+            assert dimension == fodc_dimension(r, idx)
+            assert star_admissible == admits_star_structure(r, idx).admissible
     with pytest.raises(ResourceCapError) as err:
         enumerate_fodc_indices(A2, 1, include_center=True, max_indices=100)
     assert "100" in str(err.value)
