@@ -11,6 +11,7 @@ matrix D G over one denominator D.  No floating point enters this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass, replace
@@ -531,28 +532,22 @@ def _smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]
     return tuple(diag)
 
 
+def center_order(R: RootSystem) -> int:
+    """The order of P-dual/Q-dual, read off the Hermite basis without listing the group."""
+    basis = _coroot_hnf(R)
+    return math.prod(basis[i][i] for i in range(R.rank))
+
+
 @lru_cache(maxsize=None)
 def center_group(R: RootSystem) -> CenterGroup:
     """Invariant factors and canonical representatives of P-dual/Q-dual."""
     snf = _smith_invariant_factors(R.cartan)
     invariant_factors = tuple(f for f in snf if f > 1)
     basis = _coroot_hnf(R)
-    ranges = [basis[i][i] for i in range(R.rank)]
-    order = 1
-    for r in ranges:
-        order *= r
-    reps = []
-    counter = [0] * R.rank
-    for _ in range(order):
-        reps.append(CenterElement(tuple(counter)))
-        for i in reversed(range(R.rank)):
-            counter[i] += 1
-            if counter[i] < ranges[i]:
-                break
-            counter[i] = 0
-    reps.sort(key=lambda z: (sum(z.rep), z.rep))
-    return CenterGroup(invariant_factors=invariant_factors, order=order,
-                       representatives=tuple(reps))
+    reps = sorted(itertools.product(*(range(basis[i][i]) for i in range(R.rank))),
+                  key=lambda rep: (sum(rep), rep))
+    return CenterGroup(invariant_factors=invariant_factors, order=center_order(R),
+                       representatives=tuple(CenterElement(rep) for rep in reps))
 
 
 def is_half_coroot(R: RootSystem, zeta: CenterElement) -> bool:

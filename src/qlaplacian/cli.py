@@ -22,6 +22,7 @@ from .cartan import (
     Weight,
     build_root_system,
     center_group,
+    center_order,
     center_reduce,
     enumerate_dominant,
     is_half_coroot,
@@ -374,6 +375,9 @@ def _cmd_heat(args) -> dict:
 
 def _cmd_center(args) -> dict:
     R = build_root_system([args.type])
+    order, cap = center_order(R), resolve_row_cap(None)
+    if order > cap:
+        raise ResourceCapError(f"center group of order {order} exceeds the row cap of {cap}")
     group = center_group(R)
     return {
         "command": "center",

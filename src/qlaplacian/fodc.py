@@ -19,6 +19,7 @@ from .cartan import (
     Weight,
     center_group,
     center_negate,
+    center_order,
     center_reduce,
     graded_key,
     is_half_coroot,
@@ -176,13 +177,13 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
     """
     if max_height < 0:
         raise InvariantError("max_height must be nonnegative")
-    zetas = center_group(R).representatives if include_center else (center_reduce(R, [0] * R.rank),)
     # 2^(|zetas| * |mus| - 1) calculi fit under the cap iff |zetas| * |mus| <= its bit length
-    max_mus = max(max_indices, 0).bit_length() // len(zetas)
+    max_mus = max(max_indices, 0).bit_length() // (center_order(R) if include_center else 1)
     try:
         mus = walk_dominant(R, lambda coords: sum(coords) <= max_height, max_rows=max_mus)
     except ResourceCapError:
         raise ResourceCapError(f"enumeration exceeds the cap of {max_indices} calculi") from None
+    zetas = center_group(R).representatives if include_center else (center_reduce(R, [0] * R.rank),)
     pool = [(z, mu) for z in zetas for mu in mus]
     pool = sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key)
     bits = {pair: 1 << i for i, pair in enumerate(pool)}

@@ -9,6 +9,7 @@ from qlaplacian.cartan import (
     center_add,
     center_group,
     center_negate,
+    center_order,
     center_reduce,
     enumerate_dominant,
     inner_product,
@@ -199,6 +200,9 @@ def test_center_orders_and_invariant_factors():
         assert grp.order == abs(int(rational_det(r.cartan)))
         assert grp.invariant_factors == invariant_factors_by_minors(r.cartan)
         assert len(grp.representatives) == grp.order
+        assert center_order(r) == grp.order
+    # the order comes from the Hermite basis, without listing 2^40 classes
+    assert center_order(R("x".join(["A1"] * 40))) == 2 ** 40
 
 
 def test_center_group_law():

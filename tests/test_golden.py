@@ -32,6 +32,7 @@ A1_TERM = ["--term", "mu=1:a=1"]
 A2_TERMS = ["--term", "mu=1,0:a=1", "--term", "mu=0,1:a=1"]
 G2_TERM = ["--term", "mu=0,1:a=3/2"]
 EIGHT_TIMES = "0.001,0.01,0.05,0.1,0.5,1,2,10"
+A1_POWER_40 = "x".join(["A1"] * 40)
 
 # name -> (argv, environment overrides)
 CASES = {
@@ -122,6 +123,11 @@ CASES = {
                              "--row-cap", "3"], {}),
     "reject_fodc_index_cap": (["fodc", "--type", "A2", "--max-height", "1", "--include-center",
                                "--index-cap", "100"], {}),
+    # rejections: a center of order 2^40 is capped before any class is listed
+    "reject_center_order": (["center", "--type", A1_POWER_40], {}),
+    "reject_center_env_cap": (["center", "--type", "D4"], {ROW_CAP_ENV: "3"}),
+    "reject_fodc_center_order": (["fodc", "--type", A1_POWER_40, "--max-height", "0",
+                                  "--include-center"], {}),
     # rejections: negative caps are usage errors (0 stays a valid cap)
     "reject_spectrum_negative_row_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
                                           "--radius", "2", "--row-cap", "-1"], {}),
