@@ -396,6 +396,12 @@ def check_dominant_integral(R: RootSystem, w: Weight):
         raise InvariantError(f"weight {w.serialize()} is not dominant integral")
 
 
+def untouched_factors(R: RootSystem, weights: Sequence[Weight]) -> list[int]:
+    """Positions in R.factors of the factors where every one of `weights` is zero."""
+    return [k for k, (lo, hi) in enumerate(R.factor_slices())
+            if not any(any(w.coords[lo:hi]) for w in weights)]
+
+
 def inner_product(R: RootSystem, x: Weight, y: Weight) -> Fraction:
     """The invariant bilinear form (x, y) = x^T G y, exactly: x . (D G y) / D."""
     _check_length(R, x)

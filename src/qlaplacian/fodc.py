@@ -24,6 +24,7 @@ from .cartan import (
     graded_key,
     is_half_coroot,
     minus_w0,
+    untouched_factors,
     walk_dominant,
 )
 from .errors import InvariantError, ResourceCapError
@@ -156,10 +157,9 @@ def validate_functional(R: RootSystem, spec: GeneralFunctionalSpec) -> Functiona
     if not hermitian:
         reasons.append("not a q-deformed Laplacian: the weight family is not -w0-closed with matched coefficients")
     # faithfulness: every simple factor must carry a nonzero component of some mu
-    for (flo, fhi), factor in zip(R.factor_slices(), R.factors):
-        if not any(any(mu.coords[k] != 0 for k in range(flo, fhi)) for _, mu, _ in spec.terms):
-            q_laplacian = False
-            reasons.append(f"not a q-deformed Laplacian: no weight touches factor {factor}")
+    for k in untouched_factors(R, [mu for _, mu, _ in spec.terms]):
+        q_laplacian = False
+        reasons.append(f"not a q-deformed Laplacian: no weight touches factor {R.factors[k]}")
 
     return FunctionalReport(self_adjoint=self_adjoint, hermitian=hermitian,
                             q_laplacian=q_laplacian, reasons=tuple(reasons))

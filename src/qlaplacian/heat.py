@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cartan import RootSystem, Weight, graded_key, norm_squared
+from .cartan import RootSystem, Weight, graded_key, norm_squared, untouched_factors
 from .errors import InvariantError
 from .spectra import (
     LaplacianSpec,
@@ -93,11 +93,17 @@ def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float]
 
     The estimate is n_max^2 e^{-t C_min} taken on the outermost shell of the
     scan, a single-term proxy for the discarded tail justified by the
-    divergence of the eigenvalues.
+    divergence of the eigenvalues.  A family that misses a simple factor has
+    eigenvalue 0 on infinitely many blocks, so its trace is infinite and is
+    rejected before the scan.
     """
     for t in ts:
         if not 0 < t < math.inf:
             raise InvariantError(f"heat-trace time must be positive and finite, got {t}")
+    missed = untouched_factors(R, [mu for mu, _ in spec.terms])
+    if missed:
+        raise InvariantError(f"the heat trace is infinite: no term weight touches factor "
+                             f"{missed[0] + 1} ({R.factors[missed[0]]})")
     rows = spectrum_scan(R, spec, q, radius, row_cap=row_cap)
     boundary_norm = max(norm_squared(R, r.lam) for r in rows)
     shell = [r for r in rows if norm_squared(R, r.lam) == boundary_norm]

@@ -156,6 +156,9 @@ CASES = {
                                 "--t-grid", "-1"], {}),
     "reject_heat_t_text": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "2",
                             "--t-grid", "x"], {}),
+    # rejections: a family missing a factor has an infinite heat trace
+    "reject_heat_untouched_factor": (["heat", "--type", "A1xA1", "--term", "mu=1,0:a=1", "--q", "0.5",
+                                      "--radius", "8", "--t-grid", "1,10"], {}),
 }
 
 

@@ -91,6 +91,9 @@ def test_heat_trace_examples():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvariantError):
             heat_trace(A1, SPEC, 0.5, bad, 2)
+    # every block (0, k) of A1xA1 has eigenvalue 0 when no term touches the second factor
+    with pytest.raises(InvariantError, match=r"factor 2 \(A1\)"):
+        heat_trace(R("A1xA1"), LaplacianSpec.of([(Weight.of([1, 0]), 1)]), 0.5, 1.0, 8)
 
 
 def test_heat_trace_monotone_and_limits():
