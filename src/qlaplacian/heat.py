@@ -94,8 +94,7 @@ def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float]
     The estimate is n_max^2 e^{-t C_min} taken on the outermost shell of the
     scan, a single-term proxy for the discarded tail justified by the
     divergence of the eigenvalues.  A family that misses a simple factor has
-    eigenvalue 0 on infinitely many blocks, so its trace is infinite and is
-    rejected before the scan.
+    infinitely many zero eigenvalues and so an infinite trace: it is rejected.
     """
     for t in ts:
         if not 0 < t < math.inf:
