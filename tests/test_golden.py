@@ -14,6 +14,7 @@ To rewrite the corpus after an intended output change:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -197,6 +198,23 @@ def test_golden(name, fmt):
     else:
         assert out == ""
         assert err.count("\n") == 1
+
+
+# enumerations too large to commit (up to 1.6 MB), pinned by the sha256 of their stdout
+DIGESTS = {
+    ("B2", 2, "json"): "269be727817b571883fca3e74eedfdbfa4e36f07db9e086a2e00fa3671e6587b",
+    ("B2", 2, "csv"): "dcd96b4fd3aba03d0b0e689745bf0ee2e259d6b78ebbfc01db25bab21c043d9d",
+    ("A1", 6, "json"): "93169a7473a7f946bdf993f0ab2888a3f3f18a8981e5df1359e43e8bb60f405a",
+    ("A1", 6, "csv"): "15b71e97f9e76deb101b5a97b2d797c155d9da5f5bd12f58407680ee035dd7e6",
+}
+
+
+@pytest.mark.parametrize("label,height,fmt", sorted(DIGESTS))
+def test_large_enumeration_digest(label, height, fmt):
+    code, out, err = _run(["fodc", "--type", label, "--max-height", str(height), "--include-center",
+                           "--format", fmt], {})
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[label, height, fmt]
 
 
 def test_every_golden_file_belongs_to_a_case():
