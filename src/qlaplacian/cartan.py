@@ -55,7 +55,7 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
 
-_LABEL_RE = re.compile(r"[A-Ga-g]\d+(x[A-Ga-g]\d+)*")
+_LABEL_RE = re.compile(r"[A-Ga-g][0-9]+(x[A-Ga-g][0-9]+)*")
 
 
 def parse_type_label(label: str) -> tuple[SimpleType, ...]:
@@ -438,14 +438,15 @@ class CenterGroup:
 
 
 @lru_cache(maxsize=None)
-def _coroot_hnf(R: RootSystem) -> tuple[tuple[int, ...], ...]:
+def _coroot_hnf(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """Column-style Hermite basis of the coroot lattice in coweight coordinates.
 
     The coroot a_j-check has coweight coordinates given by row j of the Cartan
     matrix; the result is a lower-triangular basis with positive diagonal.
+    Keyed on the Cartan matrix so that a lookup does not hash the root system.
     """
-    n = R.rank
-    cols = [list(row) for row in R.cartan]
+    n = len(cartan)
+    cols = [list(row) for row in cartan]
     basis: list[list[int]] = []
     for pivot in range(n):
         live = [c for c in cols if any(c[pivot:])]
@@ -473,7 +474,7 @@ def center_reduce(R: RootSystem, rep: Sequence[int]) -> CenterElement:
     if len(rep) != R.rank:
         raise InvariantError(f"center representative of length {len(rep)} does not match rank {R.rank}")
     v = [int(a) for a in rep]
-    basis = _coroot_hnf(R)
+    basis = _coroot_hnf(R.cartan)
     for i in range(R.rank):
         q = v[i] // basis[i][i]
         if q:
@@ -540,7 +541,7 @@ def _smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]
 
 def center_order(R: RootSystem) -> int:
     """The order of P-dual/Q-dual, read off the Hermite basis without listing the group."""
-    basis = _coroot_hnf(R)
+    basis = _coroot_hnf(R.cartan)
     return math.prod(basis[i][i] for i in range(R.rank))
 
 
@@ -549,7 +550,7 @@ def center_group(R: RootSystem) -> CenterGroup:
     """Invariant factors and canonical representatives of P-dual/Q-dual."""
     snf = _smith_invariant_factors(R.cartan)
     invariant_factors = tuple(f for f in snf if f > 1)
-    basis = _coroot_hnf(R)
+    basis = _coroot_hnf(R.cartan)
     reps = sorted(itertools.product(*(range(basis[i][i]) for i in range(R.rank))),
                   key=lambda rep: (sum(rep), rep))
     return CenterGroup(invariant_factors=invariant_factors, order=center_order(R),

@@ -32,6 +32,7 @@ from .errors import InvariantError, ResourceCapError, UsageError
 from .fodc import (
     DEFAULT_INDEX_CAP,
     FodcIndex,
+    Pair,
     admits_star_structure,
     enumerate_fodc_indices,
     fodc_dimension,
@@ -155,29 +156,36 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _json_value(value) -> str:
-    if isinstance(value, dict):
-        inner = ",".join(f"{_json_value(k)}:{_json_value(v)}" for k, v in value.items())
+def _json_value(value, memo: dict) -> str:
+    """JSON text of a report value, dispatched on its exact type; `memo` holds each Pair's text."""
+    kind = type(value)
+    if kind is dict:
+        inner = ",".join(f"{_json_value(k, memo)}:{_json_value(v, memo)}" for k, v in value.items())
         return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_json_value(v) for v in value) + "]"
-    if isinstance(value, bool) or value is None:
-        return {True: "true", False: "false", None: "null"}[value]
-    if isinstance(value, str):
+    if kind is list or kind is tuple:
+        return "[" + ",".join([_json_value(v, memo) for v in value]) + "]"
+    if kind is Pair:
+        text = memo.get(value)
+        if text is None:
+            text = memo[value] = _json_value({"zeta": value.zeta, "mu": value.mu}, memo)
+        return text
+    if kind is str:
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(value, int):
+    if kind is bool or value is None:
+        return {True: "true", False: "false", None: "null"}[value]
+    if kind is int:
         return str(value)
-    if isinstance(value, float):
+    if kind is float:
         return _fmt_float(value)
-    if isinstance(value, Fraction):
+    if kind is Fraction:
         return '"' + str(value) + '"'
-    if isinstance(value, complex):
-        return _json_value({"re": value.real, "im": value.imag})
-    if isinstance(value, Weight):
-        return _json_value(list(value.coords))
-    if isinstance(value, CenterElement):
-        return _json_value(list(value.rep))
-    raise TypeError(f"cannot render {type(value)!r}")
+    if kind is complex:
+        return _json_value({"re": value.real, "im": value.imag}, memo)
+    if kind is Weight:
+        return _json_value(list(value.coords), memo)
+    if kind is CenterElement:
+        return _json_value(list(value.rep), memo)
+    raise TypeError(f"cannot render {kind!r}")
 
 
 def _csv_cell(value) -> str:
@@ -197,6 +205,8 @@ def _csv_cell(value) -> str:
         return f"{_fmt_float(value.real)}{'+' if value.imag >= 0 else '-'}{_fmt_float(abs(value.imag))}j"
     if isinstance(value, dict):
         return "|".join(f"{k}={_csv_cell(v)}" for k, v in value.items())
+    if isinstance(value, Pair):  # before the tuple branch: a Pair is a tuple
+        return f"zeta={value.zeta.serialize()}|mu={value.mu.serialize()}"
     if isinstance(value, (list, tuple)):
         return ";".join(_csv_cell(v) for v in value)
     return str(value)
@@ -204,7 +214,7 @@ def _csv_cell(value) -> str:
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return _json_value(report) + "\n"
+        return _json_value(report, {}) + "\n"
     meta = [f"# {key}={_csv_cell(value)}" for key, value in report.items()
             if not isinstance(value, (list, tuple, dict))]
     rows = report.get("rows", [])
@@ -329,7 +339,7 @@ def _cmd_fodc(args) -> dict:
             "reasons": list(verdict.reasons),
             "induced_dimension": fodc_dimension(R, induced),
             "induced_star_admissible": star.admissible,
-            "functional_class": [{"zeta": z, "mu": mu} for z, mu in induced.nonzero_pairs],
+            "functional_class": list(induced.nonzero_pairs),
         }
     if args.max_height is None:
         raise UsageError("fodc needs either --term (validate) or --max-height (enumerate)")
@@ -341,11 +351,8 @@ def _cmd_fodc(args) -> dict:
         "max_height": args.max_height,
         "include_center": args.include_center,
         "count": len(calculi),
-        "rows": [{
-            "pairs": [{"zeta": z, "mu": mu} for z, mu in pairs],
-            "dimension": dimension,
-            "star_admissible": star_admissible,
-        } for pairs, dimension, star_admissible in calculi],
+        "rows": [{"pairs": pairs, "dimension": dimension, "star_admissible": star_admissible}
+                 for pairs, dimension, star_admissible in calculi],
     }
 
 

@@ -12,6 +12,7 @@ self-adjoint, Hermitian, or q-deformed Laplacians.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cartan import (
     CenterElement,
@@ -33,7 +34,12 @@ from .weights import dim_irrep
 
 DEFAULT_INDEX_CAP = 65536
 
-Pair = tuple[CenterElement, Weight]
+
+class Pair(NamedTuple):
+    """One (zeta, mu) summand; equal to, and hashed like, the plain tuple."""
+
+    zeta: CenterElement
+    mu: Weight
 
 
 def _pair_key(pair: Pair):
@@ -59,8 +65,8 @@ class FodcIndex:
 
     @staticmethod
     def of(R: RootSystem, pairs) -> "FodcIndex":
-        normalized = tuple(sorted(((center_reduce(R, z.rep if isinstance(z, CenterElement) else z),
-                                    mu if isinstance(mu, Weight) else Weight.of(mu))
+        normalized = tuple(sorted((Pair(center_reduce(R, z.rep if isinstance(z, CenterElement) else z),
+                                        mu if isinstance(mu, Weight) else Weight.of(mu))
                                    for z, mu in pairs), key=_pair_key))
         return FodcIndex(normalized)
 
@@ -184,7 +190,7 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
     except ResourceCapError:
         raise ResourceCapError(f"enumeration exceeds the cap of {max_indices} calculi") from None
     zetas = center_group(R).representatives if include_center else (center_reduce(R, [0] * R.rank),)
-    pool = [(z, mu) for z in zetas for mu in mus]
+    pool = [Pair(z, mu) for z in zetas for mu in mus]
     pool = sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key)
     bits = {pair: 1 << i for i, pair in enumerate(pool)}
     sizes = [dim_irrep(R, mu) ** 2 for _, mu in pool]

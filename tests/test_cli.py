@@ -1,7 +1,11 @@
 import json
 import math
 
-from qlaplacian.cli import main
+import pytest
+
+from qlaplacian.cartan import Weight, build_root_system, center_reduce
+from qlaplacian.cli import _json_value, _render, main
+from qlaplacian.fodc import Pair
 
 
 def run(capsys, *argv):
@@ -98,12 +102,35 @@ def test_weights_command(capsys):
 def test_fodc_commands(capsys):
     report = run_json(capsys, "fodc", "--type", "A1", "--max-height", "1", "--include-center")
     assert report["count"] == 8
+    assert report["rows"][1]["pairs"] == [{"zeta": [0], "mu": [1]}]
     report = run_json(capsys, "fodc", "--type", "A2",
                       "--term", "mu=1,0:a=1", "--term", "mu=0,1:a=1")
     assert report["q_laplacian"] is True
     assert report["induced_dimension"] == 18
     report = run_json(capsys, "fodc", "--type", "A2", "--term", "mu=1,0:a=1:zeta=1,0")
     assert report["self_adjoint"] is False
+    assert report["functional_class"] == [{"zeta": [0, 2], "mu": [1, 0]}]
+
+
+def test_pair_renders_like_the_dict_it_replaces():
+    R = build_root_system(["A2"])
+    zeta, mu = center_reduce(R, [1, 0]), Weight.of([1, 1])
+    pair = Pair(zeta, mu)
+    assert pair == (zeta, mu) and hash(pair) == hash((zeta, mu))
+    as_dict = {"zeta": zeta, "mu": mu}
+    for fmt in ("json", "csv"):
+        as_pairs = _render({"count": 2, "rows": [{"pairs": (pair, pair), "dimension": 8}]}, fmt)
+        as_dicts = _render({"count": 2, "rows": [{"pairs": [as_dict, as_dict], "dimension": 8}]}, fmt)
+        assert as_pairs == as_dicts
+    assert _render({"rows": [{"pairs": [pair]}]}, "csv") == "pairs\nzeta=0;2|mu=1;1\n"
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", range(2)])
+def test_json_value_rejects_unknown_types(value):
+    with pytest.raises(TypeError, match="cannot render"):
+        _json_value(value, {})
+    with pytest.raises(TypeError, match="cannot render"):
+        _json_value({"rows": [value]}, {})
 
 
 def test_heat_command(capsys):

@@ -103,6 +103,8 @@ CASES = {
     # rejections: malformed labels and unknown families exit 1, bad ranks exit 2
     **{f"reject_label_{label}": (["center", "--type", label], {})
        for label in ("Q7", "H4", "A2y", "a", "G", "A1xx", "E9x", "C2", "E9")},
+    # rejections: the label grammar is ASCII, so a non-ASCII digit (ARABIC-INDIC TWO) is malformed
+    "reject_label_non_ascii_digit": (["center", "--type", "A\u0662"], {}),
     # rejections: weights
     "reject_weights_non_dominant": (["weights", "--type", "A2", "--mu", "1,-1"], {}),
     "reject_witness_non_dominant": (["witness", "--type", "A1", "--mu", "-1", "--q", "0.5"], {}),
