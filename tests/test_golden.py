@@ -75,6 +75,16 @@ CASES = {
     "fodc_validate_complex": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1+2j:zeta=1,0",
                                "--term", "mu=1,0:a=1-2j:zeta=0,1"], {}),
     "fodc_validate_a1xg2": (["fodc", "--type", "A1xG2", "--term", "mu=1,0,0:a=1"], {}),
+    # fodc validation: a zero coefficient drops its pair, and so does (0, 0)
+    "fodc_validate_zero_coefficient": (["fodc", "--type", "A2", "--term", "mu=1,0:a=0",
+                                        "--term", "mu=0,1:a=2"], {}),
+    "fodc_validate_zero_pair": (["fodc", "--type", "A2", "--term", "mu=0,0:a=1",
+                                 "--term", "mu=1,0:a=1:zeta=1,0"], {}),
+    # fodc validation: D4 classes are half coroots; A3 classes 1 and 3 are partners, 2 is half a coroot
+    "fodc_validate_d4_half_coroot": (["fodc", "--type", "D4", "--term", "mu=1,0,0,0:a=1:zeta=1,0,0,0"], {}),
+    "fodc_validate_a3_unpartnered": (["fodc", "--type", "A3", "--term", "mu=1,0,0:a=1:zeta=1,0,0"], {}),
+    "fodc_validate_a3_partners": (["fodc", "--type", "A3", "--term", "mu=1,0,0:a=1:zeta=1,0,0",
+                                   "--term", "mu=1,0,0:a=1:zeta=3,0,0"], {}),
     # heat
     "heat_a1": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "2",
                  "--t-grid", "1,50"], {}),
