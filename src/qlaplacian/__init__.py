@@ -28,12 +28,11 @@ from .cartan import (
 )
 from .errors import InvariantError, LabelError, ResourceCapError, UsageError
 from .fodc import (
-    FodcIndex,
     FunctionalReport,
-    StarReport,
     admits_star_structure,
     enumerate_fodc_indices,
     fodc_dimension,
+    induced_class,
     validate_functional,
 )
 from .heat import (

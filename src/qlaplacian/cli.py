@@ -31,11 +31,11 @@ from .cartan import (
 from .errors import InvariantError, ResourceCapError, UsageError
 from .fodc import (
     DEFAULT_INDEX_CAP,
-    FodcIndex,
     Pair,
     admits_star_structure,
     enumerate_fodc_indices,
     fodc_dimension,
+    induced_class,
     validate_functional,
 )
 from .heat import heat_trace_report, markov_verdict
@@ -327,8 +327,7 @@ def _cmd_fodc(args) -> dict:
     if args.term:
         spec = _general_spec(R, args.term)
         verdict = validate_functional(R, spec)
-        induced = FodcIndex.of(R, [(z, mu) for z, mu, a in spec.terms if a != 0])
-        star = admits_star_structure(R, induced)
+        induced = induced_class(R, spec)
         return {
             "command": "fodc",
             "type": args.type,
@@ -338,8 +337,8 @@ def _cmd_fodc(args) -> dict:
             "q_laplacian": verdict.q_laplacian,
             "reasons": list(verdict.reasons),
             "induced_dimension": fodc_dimension(R, induced),
-            "induced_star_admissible": star.admissible,
-            "functional_class": list(induced.nonzero_pairs),
+            "induced_star_admissible": admits_star_structure(R, induced),
+            "functional_class": list(induced),
         }
     if args.max_height is None:
         raise UsageError("fodc needs either --term (validate) or --max-height (enumerate)")

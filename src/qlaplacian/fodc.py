@@ -1,10 +1,10 @@
 """Finite-dimensional bicovariant (*-)differential calculi as index data.
 
 A calculus is identified by a finite set of distinct pairs (zeta, mu) of a
-center class and a dominant weight; the pair (0, 0) is allowed but stands
-for the zero summand.  The invariant dimension is sum of n_mu^2 over the
-nonzero pairs, a star structure exists iff every pair whose center class is
-not half-a-coroot is matched by its (-zeta, mu) partner, and the functional
+reduced center class and a dominant weight, other than (0, 0), which names
+the zero summand.  The invariant dimension is the sum of n_mu^2 over the
+pairs, a star structure exists iff every pair whose center class is not
+half-a-coroot is matched by its (-zeta, mu) partner, and the functional
 validators below decide which center-valued coefficient data are
 self-adjoint, Hermitian, or q-deformed Laplacians.
 """
@@ -50,64 +50,36 @@ def _is_zero_pair(pair: Pair) -> bool:
     return pair[0].is_zero and pair[1].is_zero
 
 
-@dataclass(frozen=True)
-class FodcIndex:
-    """A set of distinct (center class, dominant weight) pairs."""
-
-    pairs: tuple[Pair, ...]
-
-    def __post_init__(self):
-        if len(set(self.pairs)) != len(self.pairs):
-            raise InvariantError("calculus index contains duplicate (zeta, mu) pairs")
-        for zeta, mu in self.pairs:
-            if not (mu.is_integral and mu.is_dominant):
-                raise InvariantError(f"index weight {mu.serialize()} is not dominant integral")
-
-    @staticmethod
-    def of(R: RootSystem, pairs) -> "FodcIndex":
-        normalized = tuple(sorted((Pair(center_reduce(R, z.rep if isinstance(z, CenterElement) else z),
-                                        mu if isinstance(mu, Weight) else Weight.of(mu))
-                                   for z, mu in pairs), key=_pair_key))
-        return FodcIndex(normalized)
-
-    @property
-    def nonzero_pairs(self) -> tuple[Pair, ...]:
-        return tuple(p for p in self.pairs if not _is_zero_pair(p))
+def induced_class(R: RootSystem, spec: GeneralFunctionalSpec) -> tuple[Pair, ...]:
+    """The pairs of the terms with a != 0, classes reduced, (0, 0) dropped, in `_pair_key` order."""
+    pairs = (Pair(center_reduce(R, zeta.rep), mu) for zeta, mu, a in spec.terms if a != 0)
+    return tuple(sorted((p for p in pairs if not _is_zero_pair(p)), key=_pair_key))
 
 
-def fodc_dimension(R: RootSystem, idx: FodcIndex) -> int:
-    """Invariant dimension: sum of dim V(mu)^2 over the nonzero pairs."""
-    return sum(dim_irrep(R, mu) ** 2 for _, mu in idx.nonzero_pairs)
+def _pair_tables(R: RootSystem, pairs: tuple[Pair, ...]) -> tuple[list[int], list[int]]:
+    """Each pair's size dim V(mu)^2, and the bit of the (-zeta, mu) partner it needs.
+
+    Pair i has the bit 1 << i.  The needed bit is 0 when zeta is half a
+    coroot and 1 << len(pairs), outside the set, when the partner is missing.
+    """
+    bits = {pair: 1 << i for i, pair in enumerate(pairs)}
+    if len(bits) != len(pairs):
+        raise InvariantError("calculus index contains duplicate (zeta, mu) pairs")
+    missing = 1 << len(pairs)
+    sizes = [dim_irrep(R, mu) ** 2 for _, mu in pairs]
+    needs = [0 if is_half_coroot(R, z) else bits.get((center_negate(R, z), mu), missing) for z, mu in pairs]
+    return sizes, needs
 
 
-@dataclass(frozen=True)
-class StarReport:
-    """Star-admissibility verdict with the (zeta, mu) <-> (-zeta, mu) matching."""
-
-    admissible: bool
-    matching: tuple[tuple[Pair, Pair], ...]
-    unmatched: tuple[Pair, ...]
+def fodc_dimension(R: RootSystem, pairs: tuple[Pair, ...]) -> int:
+    """Invariant dimension of the calculus on these pairs: sum of dim V(mu)^2."""
+    return sum(_pair_tables(R, pairs)[0])
 
 
-def admits_star_structure(R: RootSystem, idx: FodcIndex) -> StarReport:
-    """A star structure exists iff non-half-coroot classes pair with their negatives."""
-    pairs = set(idx.pairs)
-    matching = []
-    unmatched = []
-    seen = set()
-    for pair in idx.pairs:
-        zeta, mu = pair
-        if pair in seen or is_half_coroot(R, zeta):
-            continue
-        partner = (center_negate(R, zeta), mu)
-        if partner in pairs:
-            matching.append((pair, partner))
-            seen.add(pair)
-            seen.add(partner)
-        else:
-            unmatched.append(pair)
-    return StarReport(admissible=not unmatched,
-                      matching=tuple(matching), unmatched=tuple(unmatched))
+def admits_star_structure(R: RootSystem, pairs: tuple[Pair, ...]) -> bool:
+    """Whether every pair whose class is not half a coroot has its (-zeta, mu) partner."""
+    full = (1 << len(pairs)) - 1
+    return all(full & need == need for need in _pair_tables(R, pairs)[1])
 
 
 @dataclass(frozen=True)
@@ -191,11 +163,8 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
         raise ResourceCapError(f"enumeration exceeds the cap of {max_indices} calculi") from None
     zetas = center_group(R).representatives if include_center else (center_reduce(R, [0] * R.rank),)
     pool = [Pair(z, mu) for z in zetas for mu in mus]
-    pool = sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key)
-    bits = {pair: 1 << i for i, pair in enumerate(pool)}
-    sizes = [dim_irrep(R, mu) ** 2 for _, mu in pool]
-    # the bit of the (-zeta, mu) partner each pair needs; 0 if zeta is half a coroot
-    needs = [0 if is_half_coroot(R, z) else bits[(center_negate(R, z), mu)] for z, mu in pool]
+    pool = tuple(sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key))
+    sizes, needs = _pair_tables(R, pool)
     calculi = []
     for mask in range(1 << len(pool)):
         chosen = [i for i in range(len(pool)) if mask >> i & 1]

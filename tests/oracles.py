@@ -7,17 +7,33 @@ with a brute-forced Weyl group (rank <= 2 only).  The `reference_*`
 eigenvalue formulas pair weights with `inner_product` in exact `Fraction`s,
 one weight at a time, where the package reads integer pairings over a
 common denominator; they keep the package's summation order and per-term
-float rounding, so the two must agree exactly.
+float rounding, so the two must agree exactly.  `reference_witness` is the
+witness formula as written, a difference of Casimir values, evaluated in
+100-digit `Decimal`s.  `FodcIndex` and `StarReport` are a calculus as a
+checked set of pairs and its star verdict with the partner matching, one
+calculus at a time, where the package reads per-pair tables.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from qlaplacian.cartan import RootSystem, Weight, inner_product
-from qlaplacian.weights import weight_system
+from qlaplacian.cartan import (
+    CenterElement,
+    RootSystem,
+    Weight,
+    center_negate,
+    center_reduce,
+    inner_product,
+    is_half_coroot,
+    minus_w0,
+)
+from qlaplacian.errors import InvariantError
+from qlaplacian.weights import dim_irrep, weight_system
 
 
 def rational_det(matrix) -> Fraction:
@@ -244,3 +260,99 @@ def reference_dim(R: RootSystem, mu: Weight) -> Fraction:
         num *= inner_product(R, mu + rho, alpha)
         den *= inner_product(R, rho, alpha)
     return num / den
+
+
+def reference_witness(R: RootSystem, mu: Weight, q: float) -> Decimal:
+    """sum_e mult q^{-2 (rho, e)} * sum_g (C_g(-w0 mu) - C_g(0))^2 in 100-digit `Decimal`s.
+
+    C_g(lam) = sum_e mult q^{-2 (lam + rho, e)} over the weights of V(g), g
+    each highest root.  The difference of the two Casimir values cancels
+    about log10(dim V(g) / difference) digits, which 100 digits absorb for
+    every q in float range.
+    """
+    rho = R.weyl_vector
+    zero = Weight.zero(R.rank)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        h = Decimal(q).ln()
+
+        def casimir(highest: Weight, lam: Weight) -> Decimal:
+            total = Decimal(0)
+            for eps, mult in weight_system(R, highest):
+                x = inner_product(R, lam + rho, eps)
+                total += mult * (-2 * Decimal(x.numerator) / Decimal(x.denominator) * h).exp()
+            return total
+
+        dual = minus_w0(R, mu)
+        total = sum((casimir(g, dual) - casimir(g, zero)) ** 2 for g in R.highest_roots)
+        return casimir(mu, zero) * total
+
+
+# ---------------------------------------------------------------------------
+# Calculi one at a time
+# ---------------------------------------------------------------------------
+
+
+def _pair_order(pair):
+    zeta, mu = pair
+    return (sum(zeta.rep), zeta.rep, sum(mu.coords), mu.coords)
+
+
+@dataclass(frozen=True)
+class FodcIndex:
+    """A set of distinct (center class, dominant weight) pairs."""
+
+    pairs: tuple
+
+    def __post_init__(self):
+        if len(set(self.pairs)) != len(self.pairs):
+            raise InvariantError("calculus index contains duplicate (zeta, mu) pairs")
+        for zeta, mu in self.pairs:
+            if not (mu.is_integral and mu.is_dominant):
+                raise InvariantError(f"index weight {mu.serialize()} is not dominant integral")
+
+    @staticmethod
+    def of(R: RootSystem, pairs) -> "FodcIndex":
+        normalized = tuple(sorted(((center_reduce(R, z.rep if isinstance(z, CenterElement) else z),
+                                    mu if isinstance(mu, Weight) else Weight.of(mu))
+                                   for z, mu in pairs), key=_pair_order))
+        return FodcIndex(normalized)
+
+    @property
+    def nonzero_pairs(self) -> tuple:
+        return tuple(p for p in self.pairs if not (p[0].is_zero and p[1].is_zero))
+
+
+def reference_fodc_dimension(R: RootSystem, idx: FodcIndex) -> int:
+    """Invariant dimension: sum of dim V(mu)^2 over the nonzero pairs."""
+    return sum(dim_irrep(R, mu) ** 2 for _, mu in idx.nonzero_pairs)
+
+
+@dataclass(frozen=True)
+class StarReport:
+    """Star-admissibility verdict with the (zeta, mu) <-> (-zeta, mu) matching."""
+
+    admissible: bool
+    matching: tuple
+    unmatched: tuple
+
+
+def reference_star_structure(R: RootSystem, idx: FodcIndex) -> StarReport:
+    """A star structure exists iff non-half-coroot classes pair with their negatives."""
+    pairs = set(idx.pairs)
+    matching = []
+    unmatched = []
+    seen = set()
+    for pair in idx.pairs:
+        zeta, mu = pair
+        if pair in seen or is_half_coroot(R, zeta):
+            continue
+        partner = (center_negate(R, zeta), mu)
+        if partner in pairs:
+            matching.append((pair, partner))
+            seen.add(pair)
+            seen.add(partner)
+        else:
+            unmatched.append(pair)
+    return StarReport(admissible=not unmatched,
+                      matching=tuple(matching), unmatched=tuple(unmatched))

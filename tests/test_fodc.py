@@ -1,8 +1,19 @@
+"""Calculi and functionals, checked against the one-calculus-at-a-time reference.
+
+`tests/oracles.py` holds `FodcIndex` (a checked set of pairs),
+`reference_fodc_dimension` and `reference_star_structure` (a `StarReport`
+with the partner matching).  The examples below pin the reference, and
+wherever a calculus appears the program's `fodc_dimension`,
+`admits_star_structure` and `induced_class` are compared with it.
+"""
+
 import itertools
 
 import pytest
 
+from oracles import FodcIndex, reference_fodc_dimension, reference_star_structure
 from qlaplacian.cartan import (
+    CenterElement,
     Weight,
     build_root_system,
     center_group,
@@ -13,10 +24,10 @@ from qlaplacian.cartan import (
 )
 from qlaplacian.errors import InvariantError, ResourceCapError
 from qlaplacian.fodc import (
-    FodcIndex,
     admits_star_structure,
     enumerate_fodc_indices,
     fodc_dimension,
+    induced_class,
     validate_functional,
 )
 from qlaplacian.spectra import GeneralFunctionalSpec
@@ -34,16 +45,34 @@ def zero(r):
     return center_reduce(r, [0] * r.rank)
 
 
+def assert_program_matches(r, idx):
+    """The program reads the calculus without (0, 0), which names the zero summand."""
+    assert fodc_dimension(r, idx.nonzero_pairs) == reference_fodc_dimension(r, idx)
+    assert admits_star_structure(r, idx.nonzero_pairs) == reference_star_structure(r, idx).admissible
+
+
+def assert_induced_matches(r, spec):
+    expected = FodcIndex.of(r, [(z, mu) for z, mu, a in spec.terms if a != 0]).nonzero_pairs
+    assert induced_class(r, spec) == expected
+
+
 def test_dimension_examples():
-    assert fodc_dimension(A2, FodcIndex.of(A2, [(zero(A2), Weight.zero(2))])) == 0
-    assert fodc_dimension(A2, FodcIndex.of(A2, [(zero(A2), Weight.of([1, 0]))])) == 9
+    assert reference_fodc_dimension(A2, FodcIndex.of(A2, [(zero(A2), Weight.zero(2))])) == 0
+    assert reference_fodc_dimension(A2, FodcIndex.of(A2, [(zero(A2), Weight.of([1, 0]))])) == 9
     both = FodcIndex.of(A2, [(zero(A2), Weight.of([1, 0])), (zero(A2), Weight.of([0, 1]))])
-    assert fodc_dimension(A2, both) == 18
+    assert reference_fodc_dimension(A2, both) == 18
+    assert_program_matches(A2, both)
 
 
 def test_duplicate_pairs_rejected():
     with pytest.raises(InvariantError):
         FodcIndex.of(A2, [(zero(A2), Weight.of([1, 0])), ([0, 0], (1, 0))])
+    # the classes 1,0 and 4,0 differ as written and are equal once reduced
+    spec = GeneralFunctionalSpec.of([(CenterElement((1, 0)), Weight.of([1, 0]), 1),
+                                     (CenterElement((4, 0)), Weight.of([1, 0]), 1)])
+    for program in (fodc_dimension, admits_star_structure):
+        with pytest.raises(InvariantError, match="duplicate"):
+            program(A2, induced_class(A2, spec))
 
 
 def test_dimension_is_additive_over_disjoint_unions():
@@ -51,32 +80,37 @@ def test_dimension_is_additive_over_disjoint_unions():
     left = FodcIndex.of(A2, [(zero(A2), Weight.of([1, 0]))])
     right = FodcIndex.of(A2, [(z, Weight.of([0, 1])), (z, Weight.of([1, 1]))])
     union = FodcIndex.of(A2, left.pairs + right.pairs)
-    assert fodc_dimension(A2, union) == fodc_dimension(A2, left) + fodc_dimension(A2, right)
+    assert (reference_fodc_dimension(A2, union)
+            == reference_fodc_dimension(A2, left) + reference_fodc_dimension(A2, right))
+    for idx in (left, right, union):
+        assert_program_matches(A2, idx)
 
 
 def test_star_structure_examples():
     # every zeta = 0 index is star-admissible
     idx = FodcIndex.of(A2, [(zero(A2), Weight.of([1, 0])), (zero(A2), Weight.of([2, 1]))])
-    assert admits_star_structure(A2, idx).admissible
+    assert reference_star_structure(A2, idx).admissible
     # A1: the nonzero class is half a coroot, so a lone pair is fine
     z1 = center_reduce(A1, [1])
-    report = admits_star_structure(A1, FodcIndex.of(A1, [(z1, Weight.of([1]))]))
+    report = reference_star_structure(A1, FodcIndex.of(A1, [(z1, Weight.of([1]))]))
     assert report.admissible and report.matching == ()
     # A2: the nonzero class is not, so it needs its negative alongside
     z = center_reduce(A2, [1, 0])
     lone = FodcIndex.of(A2, [(z, Weight.of([1, 0]))])
-    report = admits_star_structure(A2, lone)
+    report = reference_star_structure(A2, lone)
     assert not report.admissible and report.unmatched == lone.pairs
     paired = FodcIndex.of(A2, [(z, Weight.of([1, 0])), (center_negate(A2, z), Weight.of([1, 0]))])
-    report = admits_star_structure(A2, paired)
+    report = reference_star_structure(A2, paired)
     assert report.admissible
     assert len(report.matching) == 1
     (p, q), = report.matching
     assert {p, q} == set(paired.pairs)
+    for r, checked in ((A2, idx), (A2, lone), (A2, paired)):
+        assert_program_matches(r, checked)
 
 
 def test_star_admissible_indices_are_negation_closed():
-    for r in (A1, A2):
+    for r in (A1, A2, R("A3"), R("D4")):
         classes = center_group(r).representatives
         mus = [Weight.zero(r.rank), Weight.fundamental(r.rank, 1)]
         pool = [(z, mu) for z in classes for mu in mus]
@@ -86,7 +120,8 @@ def test_star_admissible_indices_are_negation_closed():
                     idx = FodcIndex.of(r, pairs)
                 except InvariantError:
                     continue
-                if admits_star_structure(r, idx).admissible:
+                assert_program_matches(r, idx)
+                if reference_star_structure(r, idx).admissible:
                     negated = FodcIndex.of(r, [(center_negate(r, z), mu) for z, mu in idx.pairs])
                     assert set(negated.pairs) == set(idx.pairs)
 
@@ -107,6 +142,12 @@ def test_validate_functional_examples():
     report = validate_functional(A1, negative)
     assert not report.q_laplacian
 
+    # a zero coefficient and the (0, 0) term leave the induced class
+    dropped = GeneralFunctionalSpec.of([(z0, Weight.zero(2), 1), (z0, Weight.of([1, 0]), 0),
+                                        (center_reduce(A2, [0, 1]), Weight.of([0, 1]), 2)])
+    for r, spec in ((A2, lone), (A2, closed), (A1, negative), (A2, dropped)):
+        assert_induced_matches(r, spec)
+
 
 def test_validate_functional_center_terms():
     z = center_reduce(A2, [1, 0])
@@ -125,6 +166,8 @@ def test_validate_functional_center_terms():
     lopsided = GeneralFunctionalSpec.of([(z, Weight.of([1, 0]), 1 + 2j)])
     report = validate_functional(A2, lopsided)
     assert not report.self_adjoint and not report.hermitian
+    assert_induced_matches(A2, spec)
+    assert_induced_matches(A2, lopsided)
 
 
 def test_faithfulness_per_factor():
@@ -161,6 +204,7 @@ def test_q_laplacian_implies_hermitian_and_self_adjoint():
             report = validate_functional(r, spec)
             assert report.q_laplacian
             assert report.hermitian and report.self_adjoint
+            assert_induced_matches(r, spec)
 
 
 def test_self_dual_types_accept_single_terms():
@@ -200,8 +244,8 @@ def test_enumeration_annotations_and_cap():
     for r, calculi in ((A2, a2), (R("A3"), a3)):
         for pairs, dimension, star_admissible in calculi:
             idx = FodcIndex(pairs)
-            assert dimension == fodc_dimension(r, idx)
-            assert star_admissible == admits_star_structure(r, idx).admissible
+            assert dimension == reference_fodc_dimension(r, idx)
+            assert star_admissible == reference_star_structure(r, idx).admissible
     with pytest.raises(ResourceCapError) as err:
         enumerate_fodc_indices(A2, 1, include_center=True, max_indices=100)
     assert "100" in str(err.value)
