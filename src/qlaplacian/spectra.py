@@ -250,15 +250,18 @@ def qms_witness(R: RootSystem, mu: Weight, q) -> float:
     sum_e mult(e) q^{-2 (r, e)} * sum_factors |C_{z_g}(-w0 mu) - C_{z_g}(0)|^2
     with g the highest root (taken per simple factor and summed for
     products).  Zero only at mu = 0; positivity certifies that the heat
-    semigroup is not a quantum Markov semigroup.
+    semigroup is not a quantum Markov semigroup.  V(g) is self-dual, so
+    C_{z_g}(l) - C_{z_g}(0) = 2 sinh^2(ln q) * (the q-Laplacian of the one
+    term (g, 1) at l), a form that does not cancel as q -> 1.
     """
     zero = Weight.zero(R.rank)
     prefactor = casimir_eigenvalue(R, mu, zero, q)
     dual = minus_w0(R, mu)
+    scale = 2.0 * math.sinh(_log_q(q)) ** 2
     total = 0.0
     for gamma in R.highest_roots:
-        diff = casimir_eigenvalue(R, gamma, dual, q) - casimir_eigenvalue(R, gamma, zero, q)
-        total += abs(diff) ** 2
+        diff = scale * q_laplacian_eigenvalue(R, LaplacianSpec.of([(gamma, 1)]), dual, q)
+        total += diff ** 2
     return prefactor * total
 
 

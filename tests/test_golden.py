@@ -60,6 +60,10 @@ CASES = {
     "witness_a1xa1": (["witness", "--type", "A1xA1", "--mu", "1,1", "--q", "0.5"], {}),
     "witness_g2": (["witness", "--type", "G2", "--mu", "0,1", "--mu", "1,0", "--q", "0.3"], {}),
     "witness_d4": (["witness", "--type", "D4", "--mu", "0,1,0,0", "--q", "0.7"], {}),
+    # witness and Markov verdict as q -> 1, where a difference of Casimir values cancels to 0
+    "witness_a1_near_1": (["witness", "--type", "A1", "--q", "0.999999999", "--mu", "1"], {}),
+    "heat_a1_near_1": (["heat", "--type", "A1", "--term", "mu=1", "--q", "0.99999999999",
+                        "--radius", "2", "--t-grid", "1"], {}),
     # fodc enumeration
     "fodc_a1_h1_center": (["fodc", "--type", "A1", "--max-height", "1", "--include-center"], {}),
     "fodc_a2_h0": (["fodc", "--type", "A2", "--max-height", "0"], {}),

@@ -1,9 +1,11 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from oracles import reference_witness
 from qlaplacian.cartan import (
     Weight,
     build_root_system,
@@ -235,6 +237,54 @@ def test_witness_examples():
             for b in range(4):
                 if 0 < a + b <= 3:
                     assert qms_witness(A2, Weight.of([a, b]), q) > 0
+
+
+U = 2.0 ** -53  # unit roundoff of a double
+
+
+def witness_error_bound(r, mu, q):
+    """First-order relative error bound of `qms_witness`, counted operation by operation.
+
+    In units of U.  ln q errs by 1.  A prefactor term mult * exp(-2 (x / D) h)
+    takes 4 roundings plus the exponent's 3 amplified by its size; a sum of n
+    positive terms adds n - 1.  A squared bracket (sinh(x h) / sinh(h))^2 takes
+    at most 13 + 6 |x h| (the quotient and the product with h, both sinh with
+    their condition numbers 1 + |x h|, the division, the square), so a sum of N
+    terms mult ([x]^2 - [y]^2) errs by (c + N + 2) times sum mult ([x]^2 + [y]^2),
+    which the condition number turns into a relative error; 2 sinh^2(h) adds 7.
+    Squaring doubles that, the sum over highest roots and the product add the rest.
+    """
+    h = math.log(q)
+    rho = r.weyl_vector
+    args = [abs(2 * float(inner_product(r, rho, eps)) * h) for eps, _ in weight_system(r, mu)]
+    bound = len(args) + 3 + 3 * max(args)
+    dual = minus_w0(r, mu)
+
+    def square(x):
+        return (math.sinh(x * h) / math.sinh(h)) ** 2
+
+    worst = 0.0
+    for g in r.highest_roots:
+        xs = [(float(inner_product(r, dual + rho, eps)), float(inner_product(r, rho, eps)), mult)
+              for eps, mult in weight_system(r, g)]
+        size = sum(m * (square(x) + square(y)) for x, y, m in xs)
+        value = abs(sum(m * (square(x) - square(y)) for x, y, m in xs))
+        c = 13 + 6 * max(abs(v * h) for x, y, _ in xs for v in (x, y))
+        worst = max(worst, (c + len(xs) + 2) * size / value + 7)
+    return (bound + 2 * worst + len(r.highest_roots) + 2) * U
+
+
+def test_witness_matches_the_decimal_reference_as_q_tends_to_1():
+    # a difference of two Casimir values, each about dim V(g), read 0 here for A1 at q = 0.999999999
+    cases = [("A1", [1]), ("A1", [3]), ("A2", [1, 0]), ("A2", [1, 1]), ("B2", [0, 1]), ("G2", [0, 1]),
+             ("A1xA2", [1, 0, 1]), ("A1xG2", [1, 1, 0])]
+    for label, coords in cases:
+        r, mu = R(label), Weight.of(coords)
+        for q in (0.3, 0.999, 0.999999999, 1 - 2.0 ** -52):
+            got = qms_witness(r, mu, q)
+            expected = reference_witness(r, mu, q)
+            assert got > 0
+            assert abs(Decimal(got) - expected) <= Decimal(witness_error_bound(r, mu, q)) * expected
 
 
 def test_witness_on_products_sums_factor_terms():
