@@ -321,8 +321,11 @@ def _cmd_witness(args) -> dict:
 
 
 def _cmd_fodc(args) -> dict:
-    if args.index_cap < 0:
-        raise UsageError(f"--index-cap must be nonnegative, got {args.index_cap}")
+    if args.term and (args.max_height, args.include_center, args.index_cap) != (None, False, None):
+        raise UsageError("fodc --term (validate) takes no --max-height, --include-center or --index-cap")
+    cap = DEFAULT_INDEX_CAP if args.index_cap is None else args.index_cap
+    if cap < 0:
+        raise UsageError(f"--index-cap must be nonnegative, got {cap}")
     R = build_root_system([args.type])
     if args.term:
         spec = _general_spec(R, args.term)
@@ -342,8 +345,7 @@ def _cmd_fodc(args) -> dict:
         }
     if args.max_height is None:
         raise UsageError("fodc needs either --term (validate) or --max-height (enumerate)")
-    calculi = enumerate_fodc_indices(R, args.max_height, args.include_center,
-                                     max_indices=args.index_cap)
+    calculi = enumerate_fodc_indices(R, args.max_height, args.include_center, max_indices=cap)
     return {
         "command": "fodc",
         "type": args.type,
@@ -448,7 +450,8 @@ def _build_parser() -> _Parser:
     common(p, terms=True)
     p.add_argument("--max-height", type=int, default=None)
     p.add_argument("--include-center", action="store_true")
-    p.add_argument("--index-cap", type=int, default=DEFAULT_INDEX_CAP)
+    p.add_argument("--index-cap", type=int, default=None,
+                   help=f"at most this many calculi (default {DEFAULT_INDEX_CAP})")
     p.set_defaults(fn=_cmd_fodc)
 
     p = sub.add_parser("heat", help="truncated heat trace over a time grid")

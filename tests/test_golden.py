@@ -127,6 +127,10 @@ CASES = {
                           "--q", "0.5", "--radius", "2"], {}),
     "reject_zeta_rank": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1:zeta=1"], {}),
     "reject_fodc_mode": (["fodc", "--type", "A2"], {}),
+    # rejections: validation takes none of the enumeration flags
+    "reject_fodc_term_max_height": (["fodc", "--type", "A2", "--term", "mu=1,0", "--max-height", "1"], {}),
+    "reject_fodc_term_include_center": (["fodc", "--type", "A2", "--term", "mu=1,0", "--include-center"], {}),
+    "reject_fodc_term_index_cap": (["fodc", "--type", "A2", "--term", "mu=1,0", "--index-cap", "65536"], {}),
     # rejections: caps
     "reject_spectrum_row_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
                                  "--radius", "100000", "--row-cap", "3"], {}),
