@@ -11,7 +11,8 @@ float rounding, so the two must agree exactly.  `reference_witness` is the
 witness formula as written, a difference of Casimir values, evaluated in
 100-digit `Decimal`s.  `FodcIndex` and `StarReport` are a calculus as a
 checked set of pairs and its star verdict with the partner matching, one
-calculus at a time, where the package reads per-pair tables.
+calculus at a time on the package's center arithmetic, where the package
+reads per-pair tables.
 """
 
 from __future__ import annotations
