@@ -3,27 +3,25 @@
 The dominant weights of V(m) are those reached from the highest weight m by
 subtracting positive roots while staying dominant: every cover in the
 dominance order of dominant weights is a positive root (Stembridge 1998).
-Their multiplicities come from the Freudenthal recursion
+One pass over them, in order of decreasing (v+r, v+r) (r is the Weyl
+vector), finds each mult(v) by the Freudenthal recursion
 
     mult(v) * ((m+r, m+r) - (v+r, v+r)) =
         2 * sum_{a in pos roots} sum_{k >= 1} mult(v + k a) * (v + k a, a)
 
-(r is the Weyl vector), run over the dominant weights only, in order of
-decreasing (v+r, v+r): a dominant weight above v has the larger norm, and
-the dominant representative of v + k a lies above v.  The inner sums read
-the integer pairings D (x, a) off the row D G a (`RootSystem.row`).  The rest
-of the system is filled in by Weyl-orbit closure.  Each weight e keeps its
-integer row D G e, from which `pairings` reads D (lam + rho, e) and
-D (rho, e).  Weights hold `int` coordinates throughout.
+and writes the Weyl orbit of v into the table the later lookups read.  All
+of it is integer: D (x, y) is x . R.row(y), and D cancels in the quotient.
+Each weight e keeps its row D G e, from which `pairings` reads
+D (lam + rho, e) and D (rho, e).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .cartan import RootSystem, Weight, check_dominant_integral, graded_key, inner_product
+from .cartan import RootSystem, Weight, check_dominant_integral, graded_key
+from .cartan import inner_product  # noqa: F401 -- perfbench/tracer.py counts calls through this name
 from .errors import InvariantError
 
 
@@ -65,12 +63,22 @@ class WeightSystem:
         return f"WeightSystem(highest={self.highest!r}, size={self.dimension})"
 
 
-def _dominant_representative(R: RootSystem, x: Weight) -> Weight:
-    while True:
-        j = next((k + 1 for k in range(R.rank) if x.coords[k] < 0), None)
-        if j is None:
-            return x
-        x = R.reflect(x, j)
+def _weyl_orbit(R: RootSystem, nu: Weight):
+    """The Weyl orbit of the dominant weight nu, each weight once, by the orbit tree.
+
+    A weight that is not dominant has the one parent s_j x, j its first
+    negative coordinate (Snow, "Weyl group orbits", 1993).  So s_j y is a
+    child of y iff y_j > 0 and j is the first negative coordinate of s_j y.
+    """
+    stack = [nu]
+    while stack:
+        y = stack.pop()
+        yield y
+        for j, c in enumerate(y.coords):
+            if c > 0:
+                x = R.reflect(y, j + 1)  # x_j = -c < 0
+                if all(a >= 0 for a in x.coords[:j]):
+                    stack.append(x)
 
 
 def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
@@ -91,42 +99,31 @@ def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
 def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
     """All weights of V(mu) with multiplicities (exact, Weyl-closed)."""
     check_dominant_integral(R, mu)
-    rho = R.weyl_vector
-    norms = {nu: inner_product(R, nu + rho, nu + rho) for nu in _dominant_weights(R, mu)}
+    shifted = {nu: nu + R.weyl_vector for nu in _dominant_weights(R, mu)}
+    norms = {nu: sum(map(mul, s.coords, R.row(s))) for nu, s in shifted.items()}  # D (nu+rho, nu+rho)
     roots = []  # each positive root a with its row D G a and D (a, a)
     for alpha in R.positive_roots:
         row = R.row(alpha)
         roots.append((alpha, row, sum(map(mul, alpha.coords, row))))
 
-    mult = {mu: 1}
+    # A lookup x = nu + k a of nonzero multiplicity has its dominant
+    # representative above nu in the dominance order, so of larger norm: it
+    # was finished before nu, and its orbit, x included, is in the table.
+    full = dict.fromkeys(_weyl_orbit(R, mu), 1)
     for nu in sorted(norms, key=norms.get, reverse=True)[1:]:
         total = 0
         for alpha, row, step in roots:
             x, pair = nu, sum(map(mul, nu.coords, row))
             while True:
                 x, pair = x + alpha, pair + step
-                m_x = mult.get(_dominant_representative(R, x), 0)
+                m_x = full.get(x, 0)
                 if m_x == 0:
                     break
                 total += m_x * pair
-        value = Fraction(2 * total, R.denominator) / (norms[mu] - norms[nu])
-        if value.denominator != 1 or value <= 0:
+        m_nu, rest = divmod(2 * total, norms[mu] - norms[nu])
+        if rest or m_nu <= 0:
             raise InvariantError(f"Freudenthal recursion produced non-integer multiplicity at {nu.serialize()}")
-        mult[nu] = value.numerator
-
-    # Close the dominant layer under the Weyl group; mult is Weyl-invariant.
-    full: dict[Weight, int] = {}
-    for nu, m_nu in mult.items():
-        stack = [nu]
-        seen = {nu}
-        while stack:
-            w = stack.pop()
-            full[w] = m_nu
-            for j in range(1, R.rank + 1):
-                w2 = R.reflect(w, j)
-                if w2 not in seen:
-                    seen.add(w2)
-                    stack.append(w2)
+        full.update(dict.fromkeys(_weyl_orbit(R, nu), m_nu))
     return WeightSystem(R, mu, full.items())
 
 
