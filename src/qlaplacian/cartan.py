@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -20,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvariantError, LabelError, ResourceCapError
+from .errors import InvariantError, LabelError, ResourceCapError, UsageError
 
 _RANK_CONSTRAINTS = {
     "A": (1, None),
@@ -579,6 +580,26 @@ def coweight_pairing(R: RootSystem, zeta: CenterElement, lam: Weight) -> Fractio
 # ---------------------------------------------------------------------------
 # Dominant-weight enumeration
 # ---------------------------------------------------------------------------
+
+ROW_CAP_ENV = "QLAP_ROW_CAP"
+DEFAULT_ROW_CAP = 100000
+
+
+def resolve_row_cap(explicit: int | None) -> int:
+    """The row cap: `explicit` if given, else $QLAP_ROW_CAP, else DEFAULT_ROW_CAP.
+
+    Scans, `center` and weight systems (`resolve_row_cap(None)`) read it.
+    """
+    if explicit is None:
+        text = os.environ.get(ROW_CAP_ENV, str(DEFAULT_ROW_CAP))
+        try:
+            explicit = int(text)
+        except ValueError as exc:
+            raise UsageError(f"{ROW_CAP_ENV}={text!r} is not an integer") from exc
+    if explicit < 0:
+        raise UsageError(f"the row cap must be nonnegative, got {explicit}")
+    return explicit
+
 
 
 def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],

@@ -27,6 +27,7 @@ from .cartan import (
     enumerate_dominant,
     is_half_coroot,
     norm_squared,
+    resolve_row_cap,
 )
 from .errors import InvariantError, ResourceCapError, UsageError
 from .fodc import (
@@ -47,7 +48,6 @@ from .spectra import (
     lower_bound,
     q_laplacian_eigenvalue,
     qms_witness,
-    resolve_row_cap,
     spectrum_scan,
 )
 from .weights import dim_irrep, weight_system

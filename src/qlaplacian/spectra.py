@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -31,26 +30,10 @@ from .cartan import (
     enumerate_dominant,
     inner_product,
     minus_w0,
+    resolve_row_cap,
 )
-from .errors import InvariantError, UsageError
+from .errors import InvariantError
 from .weights import dim_irrep, pairings, weight_system
-
-ROW_CAP_ENV = "QLAP_ROW_CAP"
-DEFAULT_ROW_CAP = 100000
-
-
-def resolve_row_cap(explicit: int | None) -> int:
-    """The scan row cap: `explicit` if given, else $QLAP_ROW_CAP, else DEFAULT_ROW_CAP."""
-    if explicit is None:
-        text = os.environ.get(ROW_CAP_ENV, str(DEFAULT_ROW_CAP))
-        try:
-            explicit = int(text)
-        except ValueError as exc:
-            raise UsageError(f"{ROW_CAP_ENV}={text!r} is not an integer") from exc
-    if explicit < 0:
-        raise UsageError(f"the row cap must be nonnegative, got {explicit}")
-    return explicit
-
 
 @dataclass(frozen=True)
 class QParam:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .cartan import RootSystem, Weight, check_dominant_integral, graded_key
+from .cartan import RootSystem, Weight, check_dominant_integral, graded_key, resolve_row_cap
 from .cartan import inner_product  # noqa: F401 -- perfbench/tracer.py counts calls through this name
-from .errors import InvariantError
+from .errors import InvariantError, ResourceCapError
 
 
 class WeightSystem:
@@ -82,11 +82,29 @@ def _weyl_orbit(R: RootSystem, nu: Weight):
 
 
 def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
-    """The dominant weights of V(mu): mu and all it reaches by dominant descents."""
+    """The dominant weights of V(mu): mu and all it reaches by dominant descents.
+
+    Their orbits are counted as they are found, |W v| being the product of
+    (ht a + 1) / ht a over the positive roots a with (v, a) != 0 (Macdonald
+    1972), and `ResourceCapError` stops the descent once the count passes
+    the row cap.  With D G a_j = D d_j e_j, a has the coefficient
+    row(a)_j // row(a_j)_j on a_j.
+    """
+    cap = resolve_row_cap(None)
+    unit = [R.row(R.simple_root(j))[j - 1] for j in range(1, R.rank + 1)]
+    roots = [(row, sum(map(int.__floordiv__, row, unit))) for row in map(R.row, R.positive_roots)]
     found = {mu}
     stack = [mu]
+    size = 0
     while stack:
         nu = stack.pop()
+        num = den = 1
+        for row, height in roots:
+            if sum(map(mul, nu.coords, row)):
+                num, den = num * (height + 1), den * height
+        size += num // den
+        if size > cap:
+            raise ResourceCapError(f"the weight system of {mu.serialize()} exceeds the row cap of {cap} weights")
         for alpha in R.positive_roots:
             x = nu - alpha
             if x.is_dominant and x not in found:

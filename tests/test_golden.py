@@ -144,6 +144,11 @@ CASES = {
                              "--row-cap", "3"], {}),
     "reject_fodc_index_cap": (["fodc", "--type", "A2", "--max-height", "1", "--include-center",
                                "--index-cap", "100"], {}),
+    # rejections: weight systems whose Weyl orbits pass the row cap, sized before Freudenthal
+    "reject_weights_e8_rho": (["weights", "--type", "E8", "--mu", "1,1,1,1,1,1,1,1"], {}),
+    "reject_weights_e8_three_rho": (["weights", "--type", "E8", "--mu", "3,3,3,3,3,3,3,3"], {}),
+    "reject_spectrum_e8_rho_term": (["spectrum", "--type", "E8", "--term", "mu=1,1,1,1,1,1,1,1",
+                                     "--q", "0.5", "--radius", "2"], {}),
     # rejections: a center of order 2^40 is capped before any class is listed
     "reject_center_order": (["center", "--type", A1_POWER_40], {}),
     "reject_center_env_cap": (["center", "--type", "D4"], {ROW_CAP_ENV: "3"}),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qlaplacian.cartan import Weight, build_root_system, minus_w0, parse_type_label
-from qlaplacian.errors import InvariantError
+from qlaplacian.errors import InvariantError, ResourceCapError
 from qlaplacian.weights import dim_irrep, weight_system
 
 from oracles import (
@@ -144,6 +144,22 @@ def test_rejections():
         weight_system(r, Weight.of([Fraction(1, 2), 0]))
     with pytest.raises(InvariantError):
         dim_irrep(r, Weight.of([1]))
+
+
+def test_row_cap_is_met_exactly_by_the_distinct_weights(monkeypatch):
+    # the descent adds up the orbit sizes, and a weight system has one row per distinct weight
+    build = weight_system.__wrapped__  # bypasses the cache
+    for label, mu in [("A2", (1, 1)), ("G2", (2, 1)), ("A1xB2", (1, 0, 1)), ("F4", (1, 0, 0, 1))]:
+        r, mu = R(label), Weight.of(mu)
+        monkeypatch.delenv("QLAP_ROW_CAP", raising=False)
+        cached = weight_system(r, mu)
+        monkeypatch.setenv("QLAP_ROW_CAP", str(len(cached)))
+        assert build(r, mu) == cached
+        monkeypatch.setenv("QLAP_ROW_CAP", str(len(cached) - 1))
+        with pytest.raises(ResourceCapError):
+            build(r, mu)
+        # a system already built is returned whatever the cap says now
+        assert weight_system(r, mu) is cached
 
 
 def test_cache_is_keyed_by_value():
