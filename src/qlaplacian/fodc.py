@@ -99,9 +99,9 @@ def validate_functional(R: RootSystem, spec: GeneralFunctionalSpec) -> Functiona
     all zeta = 0, positive coefficients, and a weight family touching every
     simple factor.
     """
-    coeff: dict[Pair, complex] = {}
-    for zeta, mu, a in spec.terms:
-        coeff[(center_reduce(R, zeta.rep), mu)] = a
+    coeff = {(center_reduce(R, zeta.rep), mu): a for zeta, mu, a in spec.terms}
+    if len(coeff) != len(spec.terms):
+        raise InvariantError("calculus index contains duplicate (zeta, mu) pairs")
 
     reasons = []
     self_adjoint = True

@@ -73,6 +73,9 @@ def test_duplicate_pairs_rejected():
     for program in (fodc_dimension, admits_star_structure):
         with pytest.raises(InvariantError, match="duplicate"):
             program(A2, induced_class(A2, spec))
+    with pytest.raises(InvariantError, match="duplicate"):
+        validate_functional(A2, GeneralFunctionalSpec.of([(CenterElement((1, 0)), Weight.of([1, 0]), 1),
+                                                          (CenterElement((4, 0)), Weight.of([1, 0]), 2)]))
 
 
 def test_dimension_is_additive_over_disjoint_unions():
