@@ -81,28 +81,40 @@ def _weyl_orbit(R: RootSystem, nu: Weight):
                     stack.append(x)
 
 
+def _root_heights(R: RootSystem) -> list[tuple[tuple[int, ...], int]]:
+    """Each positive root a as (D G a, ht a).
+
+    D G a_j = D d_j e_j, so the coefficient of a_j in a is row(a)_j // row(a_j)_j.
+    """
+    unit = [R.row(R.simple_root(j))[j - 1] for j in range(1, R.rank + 1)]
+    return [(row, sum(map(int.__floordiv__, row, unit))) for row in map(R.row, R.positive_roots)]
+
+
+def _orbit_size(roots, nu: Weight) -> int:
+    """|W nu| for a dominant nu (Macdonald 1972).
+
+    It is the product of (ht a + 1) / ht a over the positive roots a with (nu, a) != 0.
+    """
+    num = den = 1
+    for row, height in roots:
+        if sum(map(mul, nu.coords, row)):
+            num, den = num * (height + 1), den * height
+    return num // den
+
+
 def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
     """The dominant weights of V(mu): mu and all it reaches by dominant descents.
 
-    Their orbits are counted as they are found, |W v| being the product of
-    (ht a + 1) / ht a over the positive roots a with (v, a) != 0 (Macdonald
-    1972), and `ResourceCapError` stops the descent once the count passes
-    the row cap.  With D G a_j = D d_j e_j, a has the coefficient
-    row(a)_j // row(a_j)_j on a_j.
+    The descent adds up their orbit sizes as it finds them, and raises
+    `ResourceCapError` once the sum passes the row cap.
     """
-    cap = resolve_row_cap(None)
-    unit = [R.row(R.simple_root(j))[j - 1] for j in range(1, R.rank + 1)]
-    roots = [(row, sum(map(int.__floordiv__, row, unit))) for row in map(R.row, R.positive_roots)]
+    cap, roots = resolve_row_cap(None), _root_heights(R)
     found = {mu}
     stack = [mu]
     size = 0
     while stack:
         nu = stack.pop()
-        num = den = 1
-        for row, height in roots:
-            if sum(map(mul, nu.coords, row)):
-                num, den = num * (height + 1), den * height
-        size += num // den
+        size += _orbit_size(roots, nu)
         if size > cap:
             raise ResourceCapError(f"the weight system of {mu.serialize()} exceeds the row cap of {cap} weights")
         for alpha in R.positive_roots:

@@ -1,7 +1,8 @@
 """Independent oracles the tests use to derive expected values.
 
 Nothing here shares an algorithm with the package: positive roots come from
-reflection closure, dominant weights from the box walk, invariant factors
+reflection closure, dominant weights from the box walk, Weyl orbits from
+the closure under simple reflections with a seen-set, invariant factors
 from determinantal divisors, and characters from the alternating Weyl sum
 with a brute-forced Weyl group (rank <= 2 only).  The `reference_*`
 eigenvalue formulas pair weights with `inner_product` in exact `Fraction`s,
@@ -114,6 +115,20 @@ def reference_dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
         if nu.is_dominant:
             found.add(nu)
     return found
+
+
+def reference_orbit(R: RootSystem, nu: Weight) -> set[Weight]:
+    """The Weyl orbit of nu by closure under the simple reflections, with a seen-set."""
+    seen = {nu}
+    stack = [nu]
+    while stack:
+        w = stack.pop()
+        for j in range(1, R.rank + 1):
+            w2 = R.reflect(w, j)
+            if w2 not in seen:
+                seen.add(w2)
+                stack.append(w2)
+    return seen
 
 
 def invariant_factors_by_minors(matrix) -> tuple[int, ...]:

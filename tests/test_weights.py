@@ -6,12 +6,13 @@ import pytest
 
 from qlaplacian.cartan import Weight, build_root_system, minus_w0, parse_type_label
 from qlaplacian.errors import InvariantError, ResourceCapError
-from qlaplacian.weights import dim_irrep, weight_system
+from qlaplacian.weights import _orbit_size, _root_heights, _weyl_orbit, dim_irrep, weight_system
 
 from oracles import (
     brute_weyl_group,
     direct_character_value,
     reference_dominant_weights,
+    reference_orbit,
     weyl_character_value,
 )
 from test_cartan import ALL_LABELS
@@ -175,6 +176,17 @@ def test_descent_finds_the_box_walk_dominant_weights(label, scale):
     for mu in dominant_up_to(r, 3 if r.rank <= 2 else 2):
         dominant = {w for w, _ in weight_system(r, mu) if w.is_dominant}
         assert dominant == reference_dominant_weights(r, mu), (label, mu)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS + ["B2xA1"])
+def test_orbit_tree_makes_each_weight_of_the_orbit_once(label):
+    r = build_root_system([label])
+    roots = _root_heights(r)
+    for nu in dominant_up_to(r, 2):
+        orbit = list(_weyl_orbit(r, nu))
+        assert len(set(orbit)) == len(orbit), (label, nu)
+        assert set(orbit) == reference_orbit(r, nu), (label, nu)
+        assert _orbit_size(roots, nu) == len(orbit), (label, nu)
 
 
 @pytest.mark.parametrize("label, mu, distinct", [
