@@ -81,13 +81,17 @@ def _weyl_orbit(R: RootSystem, nu: Weight):
                     stack.append(x)
 
 
-def _root_heights(R: RootSystem) -> list[tuple[tuple[int, ...], int]]:
-    """Each positive root a as (D G a, ht a).
+def _root_table(R: RootSystem) -> list[tuple[Weight, tuple[int, ...], int, int]]:
+    """Each positive root a as (a, D G a, D (a, a), ht a).
 
     D G a_j = D d_j e_j, so the coefficient of a_j in a is row(a)_j // row(a_j)_j.
     """
     unit = [R.row(R.simple_root(j))[j - 1] for j in range(1, R.rank + 1)]
-    return [(row, sum(map(int.__floordiv__, row, unit))) for row in map(R.row, R.positive_roots)]
+    table = []
+    for alpha in R.positive_roots:
+        row = R.row(alpha)
+        table.append((alpha, row, sum(map(mul, alpha.coords, row)), sum(map(int.__floordiv__, row, unit))))
+    return table
 
 
 def _orbit_size(roots, nu: Weight) -> int:
@@ -96,19 +100,19 @@ def _orbit_size(roots, nu: Weight) -> int:
     It is the product of (ht a + 1) / ht a over the positive roots a with (nu, a) != 0.
     """
     num = den = 1
-    for row, height in roots:
+    for _, row, _, height in roots:
         if sum(map(mul, nu.coords, row)):
             num, den = num * (height + 1), den * height
     return num // den
 
 
-def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
+def _dominant_weights(R: RootSystem, mu: Weight, roots) -> set[Weight]:
     """The dominant weights of V(mu): mu and all it reaches by dominant descents.
 
     The descent adds up their orbit sizes as it finds them, and raises
     `ResourceCapError` once the sum passes the row cap.
     """
-    cap, roots = resolve_row_cap(None), _root_heights(R)
+    cap = resolve_row_cap(None)
     found = {mu}
     stack = [mu]
     size = 0
@@ -117,7 +121,7 @@ def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
         size += _orbit_size(roots, nu)
         if size > cap:
             raise ResourceCapError(f"the weight system of {mu.serialize()} exceeds the row cap of {cap} weights")
-        for alpha in R.positive_roots:
+        for alpha, *_ in roots:
             x = nu - alpha
             if x.is_dominant and x not in found:
                 found.add(x)
@@ -129,12 +133,9 @@ def _dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
 def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
     """All weights of V(mu) with multiplicities (exact, Weyl-closed)."""
     check_dominant_integral(R, mu)
-    shifted = {nu: nu + R.weyl_vector for nu in _dominant_weights(R, mu)}
+    roots = _root_table(R)
+    shifted = {nu: nu + R.weyl_vector for nu in _dominant_weights(R, mu, roots)}
     norms = {nu: sum(map(mul, s.coords, R.row(s))) for nu, s in shifted.items()}  # D (nu+rho, nu+rho)
-    roots = []  # each positive root a with its row D G a and D (a, a)
-    for alpha in R.positive_roots:
-        row = R.row(alpha)
-        roots.append((alpha, row, sum(map(mul, alpha.coords, row))))
 
     # A lookup x = nu + k a of nonzero multiplicity has its dominant
     # representative above nu in the dominance order, so of larger norm: it
@@ -142,7 +143,7 @@ def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
     full = dict.fromkeys(_weyl_orbit(R, mu), 1)
     for nu in sorted(norms, key=norms.get, reverse=True)[1:]:
         total = 0
-        for alpha, row, step in roots:
+        for alpha, row, step, _ in roots:
             x, pair = nu, sum(map(mul, nu.coords, row))
             while True:
                 x, pair = x + alpha, pair + step

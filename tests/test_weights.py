@@ -6,7 +6,7 @@ import pytest
 
 from qlaplacian.cartan import Weight, build_root_system, minus_w0, parse_type_label
 from qlaplacian.errors import InvariantError, ResourceCapError
-from qlaplacian.weights import _orbit_size, _root_heights, _weyl_orbit, dim_irrep, weight_system
+from qlaplacian.weights import _orbit_size, _root_table, _weyl_orbit, dim_irrep, weight_system
 
 from oracles import (
     brute_weyl_group,
@@ -181,7 +181,7 @@ def test_descent_finds_the_box_walk_dominant_weights(label, scale):
 @pytest.mark.parametrize("label", ALL_LABELS + ["B2xA1"])
 def test_orbit_tree_makes_each_weight_of_the_orbit_once(label):
     r = build_root_system([label])
-    roots = _root_heights(r)
+    roots = _root_table(r)
     for nu in dominant_up_to(r, 2):
         orbit = list(_weyl_orbit(r, nu))
         assert len(set(orbit)) == len(orbit), (label, nu)
