@@ -588,7 +588,7 @@ DEFAULT_ROW_CAP = 100000
 def resolve_row_cap(explicit: int | None) -> int:
     """The row cap: `explicit` if given, else $QLAP_ROW_CAP, else DEFAULT_ROW_CAP.
 
-    Scans, `center` and weight systems (`resolve_row_cap(None)`) read it.
+    Scans pass their `--row-cap`; `center` and weight systems pass None.
     """
     if explicit is None:
         text = os.environ.get(ROW_CAP_ENV, str(DEFAULT_ROW_CAP))
@@ -599,7 +599,6 @@ def resolve_row_cap(explicit: int | None) -> int:
     if explicit < 0:
         raise UsageError(f"the row cap must be nonnegative, got {explicit}")
     return explicit
-
 
 
 def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],

@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 
 from .cartan import RootSystem, Weight, check_dominant_integral, graded_key, resolve_row_cap
-from .cartan import inner_product  # noqa: F401 -- perfbench/tracer.py counts calls through this name
+from .cartan import inner_product  # noqa: F401 -- perfbench/tracer.py binds it (COUNTED) until ROADMAP item 1
 from .errors import InvariantError, ResourceCapError
 
 
@@ -66,7 +66,7 @@ class WeightSystem:
 def _weyl_orbit(R: RootSystem, nu: Weight):
     """The Weyl orbit of the dominant weight nu, each weight once, by the orbit tree.
 
-    A weight that is not dominant has the one parent s_j x, j its first
+    A weight x that is not dominant has the one parent s_j x, j its first
     negative coordinate (Snow, "Weyl group orbits", 1993).  So s_j y is a
     child of y iff y_j > 0 and j is the first negative coordinate of s_j y.
     """
