@@ -298,6 +298,36 @@ def _invert_rational(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction
     return [row[n:] for row in aug]
 
 
+def _plate(t: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """Bourbaki's tables for one simple factor (Lie groups and Lie algebras, ch. VI, plates I-IX).
+
+    Returns the center P-dual/Q-dual as cyclic orders, the permutation j -> perm[j-1]
+    by which -w0 acts on the fundamental weights (1-based), the highest root in
+    fundamental-weight coordinates, and the number of positive roots, all in
+    this module's numbering, which is Bourbaki's.
+    """
+    n = t.rank
+    perm = list(range(1, n + 1))
+    if t.family == "A":
+        center, top, count = (n + 1,), ({1: 1, n: 1} if n > 1 else {1: 2}), n * (n + 1) // 2
+        perm.reverse()
+    elif t.family == "B":
+        center, top, count = (2,), {2: 2 if n == 2 else 1}, n * n
+    elif t.family == "C":
+        center, top, count = (2,), {1: 2}, n * n
+    elif t.family == "D":
+        center, top, count = ((4,) if n % 2 else (2, 2)), {2: 1}, n * (n - 1)
+        if n % 2:
+            perm[-2:] = n, n - 1
+    elif t.family == "E":
+        center, top, count = {6: ((3,), {2: 1}, 36), 7: ((2,), {1: 1}, 63), 8: ((), {8: 1}, 120)}[n]
+        if n == 6:
+            perm = [6, 2, 5, 4, 3, 1]
+    else:  # F4 and G2
+        center, top, count = ((), {1: 1}, 24) if t.family == "F" else ((), {2: 1}, 6)
+    return center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
+
+
 def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSystem:
     """Construct the exact Cartan datum for a nonempty product of simple types.
 
@@ -313,16 +343,21 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     if scale <= 0:
         raise InvariantError("the global form scale must be a positive rational")
 
+    plates = [_plate(f) for f in parsed]
     n = sum(f.rank for f in parsed)
     cartan = [[0] * n for _ in range(n)]
     d0 = []
+    perm = []
+    highest = []
     lo = 0
-    for f in parsed:
+    for f, (_, fperm, top, _) in zip(parsed, plates):
         block, dblock = _simple_cartan(f)
         for i in range(f.rank):
             for j in range(f.rank):
                 cartan[lo + i][lo + j] = block[i][j]
         d0.extend(dblock)
+        perm.extend(lo + j for j in fperm)
+        highest.append(Weight((0,) * lo + top + (0,) * (n - lo - f.rank)))
         lo += f.rank
 
     # G = D M^{-1} D with M_ij = d_i a_ij the symmetrized Cartan matrix.
@@ -337,7 +372,7 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
 
     skeleton = RootSystem(
         factors=parsed, rank=n, cartan=cartan_t, d=d,
-        positive_roots=(), w0_word=(), w0_perm=(), highest_roots=(),
+        positive_roots=(), w0_word=(), w0_perm=tuple(perm), highest_roots=tuple(highest),
         weyl_vector=rho, scale=scale, denominator=denominator, form=form,
     )
 
@@ -360,29 +395,7 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     if len(set(roots)) != len(roots):
         raise InvariantError("longest-element word failed to enumerate distinct positive roots")
 
-    # -w0 acts on fundamental weights by a permutation.
-    perm = []
-    minus_w0_images = [-skeleton.apply_word(word, Weight.fundamental(n, j)) for j in range(1, n + 1)]
-    for img in minus_w0_images:
-        matches = [k + 1 for k in range(n) if img == Weight.fundamental(n, k + 1)]
-        if len(matches) != 1:
-            raise InvariantError("-w0 does not permute the fundamental weights")
-        perm.append(matches[0])
-
-    # Highest root of each factor: the positive root of maximal height there,
-    # where the height of sum_j c_j a_j is sum_j c_j = sum_j (beta, w_j)/d_j.
-    ht_vector = [sum(gram[i][j] / d[j] for j in range(n)) for i in range(n)]
-    highest = []
-    for flo, fhi in skeleton.factor_slices():
-        in_factor = [b for b in roots if any(b.coords[k] != 0 for k in range(flo, fhi))]
-        heights = [sum(b.coords[i] * ht_vector[i] for i in range(n)) for b in in_factor]
-        top = max(range(len(in_factor)), key=lambda i: heights[i])
-        if heights.count(heights[top]) != 1:
-            raise InvariantError("highest root of a simple factor is not unique")
-        highest.append(in_factor[top])
-
-    return replace(skeleton, positive_roots=tuple(roots), w0_word=word, w0_perm=tuple(perm),
-                   highest_roots=tuple(highest))
+    return replace(skeleton, positive_roots=tuple(roots), w0_word=word)
 
 
 def _check_length(R: RootSystem, w: Weight):
@@ -414,14 +427,18 @@ def norm_squared(R: RootSystem, x: Weight) -> Fraction:
     return inner_product(R, x, x)
 
 
-def apply_w0(R: RootSystem, x: Weight) -> Weight:
-    _check_length(R, x)
-    return R.apply_word(R.w0_word, x)
-
-
 def minus_w0(R: RootSystem, x: Weight) -> Weight:
-    """The duality involution x -> -w0 x (dominant weights map to dominant)."""
-    return -apply_w0(R, x)
+    """The duality involution x -> -w0 x (dominant weights map to dominant).
+
+    -w0 sends w_j to w_{w0_perm[j]}, so coordinate j moves to position
+    w0_perm[j]; the permutation is an involution, so position i reads x_{w0_perm[i]}.
+    """
+    _check_length(R, x)
+    return Weight(tuple(x.coords[k - 1] for k in R.w0_perm))
+
+
+def apply_w0(R: RootSystem, x: Weight) -> Weight:
+    return -minus_w0(R, x)
 
 
 # ---------------------------------------------------------------------------
@@ -492,54 +509,6 @@ def center_negate(R: RootSystem, a: CenterElement) -> CenterElement:
     return center_reduce(R, [-x for x in a.rep])
 
 
-def _smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form, with the divisibility chain."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    diag = []
-    top = 0
-    while top < n:
-        if all(a[i][j] == 0 for i in range(top, n) for j in range(top, n)):
-            break
-        while True:
-            # move a minimal nonzero entry to the pivot
-            r, c = min(
-                ((i, j) for i in range(top, n) for j in range(top, n) if a[i][j] != 0),
-                key=lambda ij: abs(a[ij[0]][ij[1]]),
-            )
-            a[top], a[r] = a[r], a[top]
-            for row in a:
-                row[top], row[c] = row[c], row[top]
-            p = a[top][top]
-            done = True
-            for i in range(top + 1, n):
-                q = a[i][top] // p
-                if q:
-                    for k in range(n):
-                        a[i][k] -= q * a[top][k]
-                if a[i][top] != 0:
-                    done = False
-            for j in range(top + 1, n):
-                q = a[top][j] // p
-                if q:
-                    for i in range(n):
-                        a[i][j] -= q * a[i][top]
-                if a[top][j] != 0:
-                    done = False
-            if not done:
-                continue
-            # enforce divisibility: pivot must divide every remaining entry
-            offender = next(((i, j) for i in range(top + 1, n) for j in range(top + 1, n)
-                             if a[i][j] % p != 0), None)
-            if offender is None:
-                break
-            for k in range(n):
-                a[top][k] += a[offender[0]][k]
-        diag.append(abs(a[top][top]))
-        top += 1
-    return tuple(diag)
-
-
 def center_order(R: RootSystem) -> int:
     """The order of P-dual/Q-dual, read off the Hermite basis without listing the group."""
     basis = _coroot_hnf(R.cartan)
@@ -548,13 +517,22 @@ def center_order(R: RootSystem) -> int:
 
 @lru_cache(maxsize=None)
 def center_group(R: RootSystem) -> CenterGroup:
-    """Invariant factors and canonical representatives of P-dual/Q-dual."""
-    snf = _smith_invariant_factors(R.cartan)
-    invariant_factors = tuple(f for f in snf if f > 1)
+    """Invariant factors and canonical representatives of P-dual/Q-dual.
+
+    The invariant factors merge the factors' cyclic orders (`_plate`): each
+    order joins the divisor chain from the top, leaving the lcm and carrying
+    the gcd down, since Z_a x Z_b = Z_gcd(a,b) x Z_lcm(a,b).
+    """
+    invariant_factors: list[int] = []
+    for m in [m for f in R.factors for m in _plate(f)[0]]:
+        for i in reversed(range(len(invariant_factors))):
+            invariant_factors[i], m = math.lcm(invariant_factors[i], m), math.gcd(invariant_factors[i], m)
+        if m > 1:
+            invariant_factors.insert(0, m)
     basis = _coroot_hnf(R.cartan)
     reps = sorted(itertools.product(*(range(basis[i][i]) for i in range(R.rank))),
                   key=lambda rep: (sum(rep), rep))
-    return CenterGroup(invariant_factors=invariant_factors, order=center_order(R),
+    return CenterGroup(invariant_factors=tuple(invariant_factors), order=center_order(R),
                        representatives=tuple(CenterElement(rep) for rep in reps))
 
 
