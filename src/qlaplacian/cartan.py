@@ -328,12 +328,18 @@ def _plate(t: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     return center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
 
 
+MAX_BUILD_RANK = 128
+MAX_BUILD_ROOTS = 1000
+
+
 def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSystem:
     """Construct the exact Cartan datum for a nonempty product of simple types.
 
     String factors are type labels and may themselves be products.  `scale`
     multiplies the invariant form (the symmetrizers scale with it); the
-    default 1 keeps short roots at squared length 2.
+    default 1 keeps short roots at squared length 2.  A product of rank above
+    MAX_BUILD_RANK or with more than MAX_BUILD_ROOTS positive roots raises
+    `ResourceCapError` before anything is built.
     """
     if not factors:
         raise InvariantError("a root system needs at least one simple factor")
@@ -345,6 +351,13 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
 
     plates = [_plate(f) for f in parsed]
     n = sum(f.rank for f in parsed)
+    count = sum(roots for *_, roots in plates)
+    if n > MAX_BUILD_RANK or count > MAX_BUILD_ROOTS:
+        raise ResourceCapError(
+            f"a root system of rank {n} with {count} positive roots exceeds the build cap "
+            f"of rank {MAX_BUILD_RANK} and {MAX_BUILD_ROOTS} positive roots"
+        )
+
     cartan = [[0] * n for _ in range(n)]
     d0 = []
     perm = []

@@ -34,6 +34,7 @@ A2_TERMS = ["--term", "mu=1,0:a=1", "--term", "mu=0,1:a=1"]
 G2_TERM = ["--term", "mu=0,1:a=3/2"]
 EIGHT_TIMES = "0.001,0.01,0.05,0.1,0.5,1,2,10"
 A1_POWER_40 = "x".join(["A1"] * 40)
+A1_POWER_300 = "x".join(["A1"] * 300)
 
 # name -> (argv, environment overrides)
 CASES = {
@@ -154,6 +155,10 @@ CASES = {
     "reject_center_env_cap": (["center", "--type", "D4"], {ROW_CAP_ENV: "3"}),
     "reject_fodc_center_order": (["fodc", "--type", A1_POWER_40, "--max-height", "0",
                                   "--include-center"], {}),
+    # rejections: a root system past the build cap (rank or positive roots) is refused before it is built
+    "reject_build_a160": (["center", "--type", "A160"], {}),
+    "reject_build_d120": (["center", "--type", "D120"], {}),
+    "reject_build_a1_power_300": (["center", "--type", A1_POWER_300], {}),
     # rejections: negative caps are usage errors (0 stays a valid cap)
     "reject_spectrum_negative_row_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
                                           "--radius", "2", "--row-cap", "-1"], {}),
