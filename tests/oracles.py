@@ -2,7 +2,9 @@
 
 Nothing here shares an algorithm with the package: positive roots come from
 reflection closure, dominant weights from the box walk, Weyl orbits from
-the closure under simple reflections with a seen-set, invariant factors
+the closure under simple reflections with a seen-set, -w0 from the
+longest-element word one reflection at a time, root heights from the
+simple-root coefficients solved off the Cartan matrix, invariant factors
 from determinantal divisors, and characters from the alternating Weyl sum
 with a brute-forced Weyl group (rank <= 2 only).  The `reference_*`
 eigenvalue formulas pair weights with `inner_product` in exact `Fraction`s,
@@ -99,6 +101,20 @@ def _root_coefficients(R: RootSystem, beta: Weight) -> list[Fraction]:
     return [a[i][n] for i in range(n)]
 
 
+def root_height(R: RootSystem, beta: Weight) -> Fraction:
+    """The height of beta: the sum of its simple-root coefficients."""
+    return sum(_root_coefficients(R, beta))
+
+
+def reference_minus_w0(R: RootSystem, x: Weight) -> Weight:
+    """-w0 x: apply the word of w0 (rightmost letter first), one simple reflection at a time, then negate."""
+    coords = list(x.coords)
+    for j in reversed(R.w0_word):
+        c = coords[j - 1]
+        coords = [coords[i] - c * R.cartan[i][j - 1] for i in range(R.rank)]
+    return Weight.of(-c for c in coords)
+
+
 def reference_dominant_weights(R: RootSystem, mu: Weight) -> set[Weight]:
     """Dominant weights of V(mu) by the box walk: every dominant mu - sum m_j a_j.
 
@@ -131,17 +147,48 @@ def reference_orbit(R: RootSystem, nu: Weight) -> set[Weight]:
     return seen
 
 
+def integer_det(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _minors(matrix, k: int):
+    """The k x k minors, skipping those with a column that is zero on the chosen rows (they vanish)."""
+    n = len(matrix)
+    for rows in itertools.combinations(range(n), k):
+        support = [c for c in range(n) if any(matrix[r][c] for r in rows)]
+        for cols in itertools.combinations(support, k):
+            yield integer_det([[matrix[r][c] for c in cols] for r in rows])
+
+
 def invariant_factors_by_minors(matrix) -> tuple[int, ...]:
-    """Invariant factors via determinantal divisors: s_k = gcd_k / gcd_{k-1}."""
+    """Invariant factors via determinantal divisors: s_k = gcd_k / gcd_{k-1}.
+
+    gcd_k is the gcd of all k x k minors; the scan over them stops once the
+    gcd reaches 1, which no further minor can lower.
+    """
     n = len(matrix)
     divisors = [1]
     for k in range(1, n + 1):
         g = 0
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.combinations(range(n), k):
-                minor = rational_det([[matrix[r][c] for c in cols] for r in rows])
-                assert minor.denominator == 1
-                g = math.gcd(g, abs(int(minor)))
+        for minor in _minors(matrix, k):
+            g = math.gcd(g, minor)
+            if g == 1:
+                break
         divisors.append(g)
     factors = []
     for k in range(1, n + 1):

@@ -1,7 +1,11 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+import qlaplacian.cartan as cartan
 from qlaplacian.cartan import (
     Weight,
     apply_w0,
@@ -20,9 +24,18 @@ from qlaplacian.cartan import (
 )
 from qlaplacian.errors import InvariantError, ResourceCapError
 
-from oracles import invariant_factors_by_minors, rational_det, reflection_closure_positive_roots
+from oracles import (
+    invariant_factors_by_minors,
+    rational_det,
+    reference_minus_w0,
+    reflection_closure_positive_roots,
+    root_height,
+)
 
 ALL_LABELS = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "D5", "F4", "G2", "A1xA1", "A1xG2"]
+# -w0 and the highest roots come from Bourbaki's tables; these labels check them against the w0 word
+W0_LABELS = ALL_LABELS + ["A4", "A5", "A6", "A7", "B4", "C4", "D6", "D7", "E6", "E7", "E8",
+                          "A3xE6", "D5xB2xA4"]
 
 
 def R(label):
@@ -158,6 +171,32 @@ def test_minus_w0_permutes_positive_roots():
         assert images == set(r.positive_roots), label
 
 
+@pytest.mark.parametrize("label", W0_LABELS)
+def test_minus_w0_agrees_with_the_w0_word(label):
+    r = R(label)
+    rng = random.Random(label)
+    non_dominant = []
+    for _ in range(4):
+        coords = [rng.randint(-3, 3) for _ in range(r.rank)]
+        coords[rng.randrange(r.rank)] = -rng.randint(1, 3)
+        non_dominant.append(Weight.of(coords))
+    fundamentals = [Weight.fundamental(r.rank, j) for j in range(1, r.rank + 1)]
+    for x in [*fundamentals, *r.positive_roots, *non_dominant]:
+        expected = reference_minus_w0(r, x)
+        assert minus_w0(r, x) == expected, (label, x)
+        assert apply_w0(r, x) == -expected, (label, x)
+
+
+@pytest.mark.parametrize("label", W0_LABELS)
+def test_highest_root_is_the_highest_positive_root_of_its_factor(label):
+    r = R(label)
+    for (lo, hi), gamma in zip(r.factor_slices(), r.highest_roots):
+        assert gamma in r.positive_roots, label
+        top = root_height(r, gamma)
+        others = [b for b in r.positive_roots if b != gamma and any(b.coords[lo:hi])]
+        assert all(root_height(r, b) < top for b in others), label
+
+
 def test_w0_sends_rho_to_minus_rho():
     for label in ALL_LABELS:
         r = R(label)
@@ -203,6 +242,28 @@ def test_center_orders_and_invariant_factors():
         assert center_order(r) == grp.order
     # the order comes from the Hermite basis, without listing 2^40 classes
     assert center_order(R("x".join(["A1"] * 40))) == 2 ** 40
+
+
+# products whose factors' cyclic orders share primes, with their invariant factors
+MERGED_CENTERS = {
+    "A1xA1": (2, 2), "A1xA3": (2, 4), "A1xA2": (6,), "A5xA3": (2, 12), "A2xE6": (3, 3),
+    "D4xA1": (2, 2, 2), "D5xA3": (4, 4), "B2xC3xD6": (2, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(MERGED_CENTERS))
+def test_invariant_factors_merge_orders_that_share_primes(label):
+    r = R(label)
+    assert center_group(r).invariant_factors == MERGED_CENTERS[label]
+    assert invariant_factors_by_minors(r.cartan) == MERGED_CENTERS[label]
+
+
+def test_invariant_factors_multiply_to_the_center_order_on_pairs():
+    for a, b in itertools.product(ALL_LABELS, repeat=2):
+        r = R(f"{a}x{b}")
+        factors = center_group(r).invariant_factors
+        assert all(big % small == 0 for small, big in zip(factors, factors[1:])), (a, b)
+        assert math.prod(factors) == center_order(r), (a, b)
 
 
 def test_center_group_law():
@@ -290,6 +351,32 @@ def test_global_scale_knob():
     assert center_group(scaled).order == center_group(base).order
     with pytest.raises(InvariantError):
         build_root_system(parse_type_label("A1"), scale=0)
+
+
+def test_positive_root_counts_match_the_build():
+    families = {"A": range(1, 9), "B": range(2, 8), "C": range(3, 8), "D": range(4, 9),
+                "E": range(6, 9), "F": [4], "G": [2]}
+    for family, ranks in families.items():
+        for n in ranks:
+            (t,) = parse_type_label(f"{family}{n}")
+            assert cartan._plate(t)[3] == len(R(str(t)).positive_roots), t
+
+
+def test_build_cap_refuses_before_building(monkeypatch):
+    for label in ["A160", "D120", "x".join(["A1"] * 300)]:
+        with pytest.raises(ResourceCapError) as err:
+            build_root_system([label])
+        assert "build cap" in str(err.value)
+    assert build_root_system(["x".join(["E8"] * 4)]).rank == 32
+    # the caps are inclusive: at 6 positive roots and rank 3, A3 and G2 build, A1xG2 and A4 do not
+    monkeypatch.setattr(cartan, "MAX_BUILD_ROOTS", 6)
+    monkeypatch.setattr(cartan, "MAX_BUILD_RANK", 3)
+    assert len(build_root_system(["A3"]).positive_roots) == 6
+    assert build_root_system(["G2"]).rank == 2
+    assert build_root_system(["A1xA1xA1"]).rank == 3
+    for label in ["A1xG2", "A4", "A1xA1xA1xA1"]:
+        with pytest.raises(ResourceCapError):
+            build_root_system([label])
 
 
 def test_center_element_rejects_bad_length():
