@@ -328,6 +328,9 @@ def _plate(t: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     return center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
 
 
+# The build costs about (positive roots)^2 reflections and a rank^3 exact inversion; at
+# these caps the largest label of each shape (A44, B31, C31, D32, A1^128, G2^64, E8^8)
+# builds in under 1 s (Python 3.11, 2 CPUs).
 MAX_BUILD_RANK = 128
 MAX_BUILD_ROOTS = 1000
 
@@ -536,16 +539,16 @@ def center_group(R: RootSystem) -> CenterGroup:
     order joins the divisor chain from the top, leaving the lcm and carrying
     the gcd down, since Z_a x Z_b = Z_gcd(a,b) x Z_lcm(a,b).
     """
-    invariant_factors: list[int] = []
+    chain: list[int] = []
     for m in [m for f in R.factors for m in _plate(f)[0]]:
-        for i in reversed(range(len(invariant_factors))):
-            invariant_factors[i], m = math.lcm(invariant_factors[i], m), math.gcd(invariant_factors[i], m)
+        for i in reversed(range(len(chain))):
+            chain[i], m = math.lcm(chain[i], m), math.gcd(chain[i], m)
         if m > 1:
-            invariant_factors.insert(0, m)
+            chain.insert(0, m)
     basis = _coroot_hnf(R.cartan)
     reps = sorted(itertools.product(*(range(basis[i][i]) for i in range(R.rank))),
                   key=lambda rep: (sum(rep), rep))
-    return CenterGroup(invariant_factors=tuple(invariant_factors), order=center_order(R),
+    return CenterGroup(invariant_factors=tuple(chain), order=center_order(R),
                        representatives=tuple(CenterElement(rep) for rep in reps))
 
 
