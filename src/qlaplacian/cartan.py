@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -328,9 +328,10 @@ def _plate(t: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     return center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
 
 
-# The build costs about (positive roots)^2 reflections and a rank^3 exact inversion; at
-# these caps the largest label of each shape (A44, B31, C31, D32, A1^128, G2^64, E8^8)
-# builds in under 1 s (Python 3.11, 2 CPUs).
+# The build costs one exact inversion per simple factor (rank^3 Fraction steps) and
+# O(positive roots x rank) integer steps; at these caps the largest label of each shape
+# (A44, B31, C31, D32, A1^128, G2^64, E8^8) builds in under 0.5 s, A44 the slowest
+# (Python 3.11, 2 CPUs).
 MAX_BUILD_RANK = 128
 MAX_BUILD_ROOTS = 1000
 
@@ -361,57 +362,52 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
             f"of rank {MAX_BUILD_RANK} and {MAX_BUILD_ROOTS} positive roots"
         )
 
+    # A product is a direct sum: each factor places its Cartan block and its Gram block
+    # G_f = scale D_f M_f^{-1} D_f, with M_f = D_f A_f its symmetrized Cartan matrix.
     cartan = [[0] * n for _ in range(n)]
-    d0 = []
-    perm = []
-    highest = []
+    gram = [[0] * n for _ in range(n)]
+    d0, perm, highest = [], [], []
     lo = 0
     for f, (_, fperm, top, _) in zip(parsed, plates):
         block, dblock = _simple_cartan(f)
+        minv = _invert_rational([[di * a for a in line] for di, line in zip(dblock, block)])
         for i in range(f.rank):
             for j in range(f.rank):
                 cartan[lo + i][lo + j] = block[i][j]
+                gram[lo + i][lo + j] = scale * dblock[i] * minv[i][j] * dblock[j]
         d0.extend(dblock)
         perm.extend(lo + j for j in fperm)
         highest.append(Weight((0,) * lo + top + (0,) * (n - lo - f.rank)))
         lo += f.rank
-
-    # G = D M^{-1} D with M_ij = d_i a_ij the symmetrized Cartan matrix.
-    m = [[Fraction(d0[i] * cartan[i][j]) for j in range(n)] for i in range(n)]
-    minv = _invert_rational(m)
-    gram = [[scale * d0[i] * minv[i][j] * d0[j] for j in range(n)] for i in range(n)]
     denominator = math.lcm(*(g.denominator for line in gram for g in line))
     form = tuple(tuple(int(g * denominator) for g in line) for line in gram)
-    d = tuple(scale * Fraction(dj) for dj in d0)
-    cartan_t = tuple(tuple(row) for row in cartan)
-    rho = Weight((1,) * n)
 
-    skeleton = RootSystem(
-        factors=parsed, rank=n, cartan=cartan_t, d=d,
-        positive_roots=(), w0_word=(), w0_perm=tuple(perm), highest_roots=tuple(highest),
-        weyl_vector=rho, scale=scale, denominator=denominator, form=form,
-    )
-
-    # Longest-element word by greedy descent from rho (smallest index first).
-    word = []
-    cur = rho
-    while True:
-        j = next((k + 1 for k in range(n) if cur.coords[k] > 0), None)
-        if j is None:
-            break
-        word.append(j)
-        cur = skeleton.reflect(cur, j)
-    word = tuple(word)
-
-    # Positive roots enumerated through the prefixes of the word.
-    roots = []
-    for r, jr in enumerate(word):
-        beta = skeleton.apply_word(word[:r], skeleton.simple_root(jr))
-        roots.append(beta)
+    # Longest-element word by greedy descent from rho (smallest index first), and the
+    # positive roots along it.  image[k] is the word so far applied to w_k, so the next
+    # root, the word so far applied to a_j = sum_k a_kj w_k, is sum_k a_kj image[k];
+    # appending s_j moves only w_j, to w_j - a_j, so image[j] loses that root.
+    column = [[(k, line[j]) for k, line in enumerate(cartan) if line[j]] for j in range(n)]
+    image = [[int(i == k) for i in range(n)] for k in range(n)]
+    cur = [1] * n
+    word, roots = [], []
+    while (j := next((k for k in range(n) if cur[k] > 0), None)) is not None:
+        c = cur[j]
+        beta = [0] * n
+        for k, a in column[j]:
+            cur[k] -= c * a
+            beta = [b + a * x for b, x in zip(beta, image[k])]
+        image[j] = [x - b for x, b in zip(image[j], beta)]
+        word.append(j + 1)
+        roots.append(Weight(tuple(beta)))
     if len(set(roots)) != len(roots):
         raise InvariantError("longest-element word failed to enumerate distinct positive roots")
 
-    return replace(skeleton, positive_roots=tuple(roots), w0_word=word)
+    return RootSystem(
+        factors=parsed, rank=n, cartan=tuple(tuple(line) for line in cartan),
+        d=tuple(scale * Fraction(dj) for dj in d0), positive_roots=tuple(roots),
+        w0_word=tuple(word), w0_perm=tuple(perm), highest_roots=tuple(highest),
+        weyl_vector=Weight((1,) * n), scale=scale, denominator=denominator, form=form,
+    )
 
 
 def _check_length(R: RootSystem, w: Weight):
