@@ -156,6 +156,13 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _fmt_int(x: int) -> str:
+    try:
+        return str(x)
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise ResourceCapError(f"an integer result of {x.bit_length()} bits is too long to print") from exc
+
+
 def _json_value(value, memo: dict) -> str:
     """JSON text of a report value, dispatched on its exact type; `memo` holds each Pair's text."""
     kind = type(value)
@@ -174,7 +181,7 @@ def _json_value(value, memo: dict) -> str:
     if kind is bool or value is None:
         return {True: "true", False: "false", None: "null"}[value]
     if kind is int:
-        return str(value)
+        return _fmt_int(value)
     if kind is float:
         return _fmt_float(value)
     if kind is Fraction:
@@ -193,6 +200,8 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
+    if isinstance(value, int):
+        return _fmt_int(value)
     if isinstance(value, float):
         return _fmt_float(value)
     if isinstance(value, Fraction):

@@ -150,5 +150,6 @@ def test_every_invocation_ends_in_a_documented_exit_code(invocation):
 @given(report_invocations())
 @example((["fodc", "--type", "A2", "--term", "mu=1,0:a=nanj"], None))
 @example((["fodc", "--type", "A2", "--term", "mu=1,0:a=1e400j"], None))
+@example((["fodc", "--type", "E8", "--term", "mu=" + ",".join([str(10**20)] * 8) + ":a=1"], None))
 def test_every_report_invocation_ends_in_a_documented_exit_code(invocation):
     _check(*invocation)

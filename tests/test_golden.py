@@ -35,6 +35,8 @@ G2_TERM = ["--term", "mu=0,1:a=3/2"]
 EIGHT_TIMES = "0.001,0.01,0.05,0.1,0.5,1,2,10"
 A1_POWER_40 = "x".join(["A1"] * 40)
 A1_POWER_300 = "x".join(["A1"] * 300)
+# every coordinate 10^20: sum of dim V(mu)^2 has about 4800 digits, past Python's int-to-str limit
+E8_HUGE_MU = ",".join(["100000000000000000000"] * 8)
 
 # name -> (argv, environment overrides)
 CASES = {
@@ -182,6 +184,8 @@ CASES = {
                                    "--q", "0.5", "--radius", "2"], {}),
     "reject_coefficient_exponent": (["limit", "--type", "A1", "--term", "mu=1:a=1e999999999",
                                      "--radius", "2"], {}),
+    # rejections: an integer result too long to print (fodc --term builds no weight system to cap)
+    "reject_fodc_dimension_digits": (["fodc", "--type", "E8", "--term", f"mu={E8_HUGE_MU}:a=1"], {}),
     # rejections: heat times
     "reject_heat_t_negative": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "2",
                                 "--t-grid", "-1"], {}),
