@@ -238,6 +238,8 @@ def _render(report: dict, fmt: str) -> str:
 
 def _emit(text: str, output: str | None):
     if output in (None, "-"):
+        if sys.stdout is None:
+            raise UsageError("standard output is closed")
         sys.stdout.write(text)
         return
     try:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qlaplacian
 from qlaplacian.cartan import Weight, build_root_system, center_reduce
 from qlaplacian.cli import _json_value, _render, main
 from qlaplacian.fodc import Pair
@@ -198,3 +203,12 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["order"] == 3
     code, out, err = run(capsys, "center", "--type", "A2", "--output", str(tmp_path / "missing" / "x"))
     assert (code, out) == (1, "") and err.startswith("usage error:")
+
+
+def test_closed_stdout_is_a_usage_error():
+    # with fd 1 closed the interpreter starts with sys.stdout None; the report has nowhere to go
+    env = {**os.environ, "PYTHONPATH": str(Path(qlaplacian.__file__).parents[1])}
+    proc = subprocess.run(["sh", "-c", '"$0" -m qlaplacian.cli center --type A2 >&-', sys.executable],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "usage error: standard output is closed\n"
