@@ -15,14 +15,17 @@ witness formula as written, a difference of Casimir values, evaluated in
 100-digit `Decimal`s.  `FodcIndex` and `StarReport` are a calculus as a
 checked set of pairs and its star verdict with the partner matching, one
 calculus at a time on the package's center arithmetic, where the package
-reads per-pair tables.
+reads per-pair tables.  `reference_root_system` is the whole-matrix build on
+the package's per-factor tables: one inversion of the product's Cartan
+matrix and a replay of the word prefix for each positive root, where the
+package inverts factor by factor and carries the prefix images.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -30,11 +33,15 @@ from qlaplacian.cartan import (
     CenterElement,
     RootSystem,
     Weight,
+    _invert_rational,
+    _plate,
+    _simple_cartan,
     center_negate,
     center_reduce,
     inner_product,
     is_half_coroot,
     minus_w0,
+    parse_type_label,
 )
 from qlaplacian.errors import InvariantError
 from qlaplacian.weights import dim_irrep, weight_system
@@ -104,6 +111,49 @@ def _root_coefficients(R: RootSystem, beta: Weight) -> list[Fraction]:
 def root_height(R: RootSystem, beta: Weight) -> Fraction:
     """The height of beta: the sum of its simple-root coefficients."""
     return sum(_root_coefficients(R, beta))
+
+
+def reference_root_system(labels, scale=1) -> RootSystem:
+    """The whole-matrix build: invert the product's symmetrized Cartan matrix, zero blocks
+    included, and make each positive root by replaying the longest-element word's prefix.
+
+    It reads the per-factor tables (`_simple_cartan`, `_plate`) and the exact inverse
+    (`_invert_rational`) that the package reads; what it checks is how the package
+    assembles them, one Gram block per factor and the roots from carried prefix images.
+    """
+    parsed = tuple(f for label in labels for f in parse_type_label(label))
+    scale = Fraction(scale)
+    n = sum(f.rank for f in parsed)
+    cartan = [[0] * n for _ in range(n)]
+    d0, perm, highest = [], [], []
+    lo = 0
+    for f in parsed:
+        block, dblock = _simple_cartan(f)
+        _, fperm, top, _ = _plate(f)
+        for i in range(f.rank):
+            for j in range(f.rank):
+                cartan[lo + i][lo + j] = block[i][j]
+        d0.extend(dblock)
+        perm.extend(lo + j for j in fperm)
+        highest.append(Weight((0,) * lo + top + (0,) * (n - lo - f.rank)))
+        lo += f.rank
+    minv = _invert_rational([[Fraction(d0[i] * cartan[i][j]) for j in range(n)] for i in range(n)])
+    gram = [[scale * d0[i] * minv[i][j] * d0[j] for j in range(n)] for i in range(n)]
+    denominator = math.lcm(*(g.denominator for line in gram for g in line))
+    skeleton = RootSystem(
+        factors=parsed, rank=n, cartan=tuple(tuple(line) for line in cartan),
+        d=tuple(scale * Fraction(dj) for dj in d0), positive_roots=(), w0_word=(),
+        w0_perm=tuple(perm), highest_roots=tuple(highest), weyl_vector=Weight((1,) * n),
+        scale=scale, denominator=denominator,
+        form=tuple(tuple(int(g * denominator) for g in line) for line in gram),
+    )
+    word = []
+    cur = skeleton.weyl_vector
+    while (j := next((k + 1 for k in range(n) if cur.coords[k] > 0), None)) is not None:
+        word.append(j)
+        cur = skeleton.reflect(cur, j)
+    roots = tuple(skeleton.apply_word(word[:r], skeleton.simple_root(j)) for r, j in enumerate(word))
+    return replace(skeleton, positive_roots=roots, w0_word=tuple(word))
 
 
 def reference_minus_w0(R: RootSystem, x: Weight) -> Weight:

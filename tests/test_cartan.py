@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from oracles import (
     invariant_factors_by_minors,
     rational_det,
     reference_minus_w0,
+    reference_root_system,
     reflection_closure_positive_roots,
     root_height,
 )
@@ -351,6 +353,24 @@ def test_global_scale_knob():
     assert center_group(scaled).order == center_group(base).order
     with pytest.raises(InvariantError):
         build_root_system(parse_type_label("A1"), scale=0)
+
+
+# the package builds a product factor by factor; the oracle inverts and replays the whole product
+BUILD_CASES = [(label, 1) for label in ALL_LABELS] + [
+    ("B2xC3xD6", 1), ("A3xE6", 1), ("x".join(["A1"] * 12), 1), ("E8", 1),
+    ("G2", Fraction(3, 2)), ("B2xC3xD6", Fraction(3, 2)), ("A1xG2", Fraction(3, 2)),
+]
+
+
+@pytest.mark.parametrize("label,scale", BUILD_CASES, ids=[f"{label}-{float(s)}" for label, s in BUILD_CASES])
+def test_build_equals_the_whole_matrix_build(label, scale):
+    R = build_root_system([label], scale)
+    ref = reference_root_system([label], scale)
+    for field in dataclasses.fields(R):
+        assert repr(getattr(R, field.name)) == repr(getattr(ref, field.name)), field.name
+    assert [list(map(type, w.coords)) for w in R.positive_roots] == \
+        [list(map(type, w.coords)) for w in ref.positive_roots]
+    assert R == ref
 
 
 def test_positive_root_counts_match_the_build():
