@@ -36,7 +36,7 @@ EIGHT_TIMES = "0.001,0.01,0.05,0.1,0.5,1,2,10"
 A1_POWER_40 = "x".join(["A1"] * 40)
 A1_POWER_300 = "x".join(["A1"] * 300)
 # every coordinate 10^20: sum of dim V(mu)^2 has about 4800 digits, past Python's int-to-str limit
-E8_HUGE_MU = ",".join(["100000000000000000000"] * 8)
+E8_HUGE_MU = ",".join([str(10**20)] * 8)
 
 # name -> (argv, environment overrides)
 CASES = {
