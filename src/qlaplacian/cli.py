@@ -156,11 +156,12 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _fmt_int(x: int) -> str:
+def _fmt_exact(x: int | Fraction) -> str:
     try:
         return str(x)
-    except ValueError as exc:  # past sys.get_int_max_str_digits()
-        raise ResourceCapError(f"an integer result of {x.bit_length()} bits is too long to print") from exc
+    except ValueError as exc:  # a numerator or denominator past sys.get_int_max_str_digits()
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        raise ResourceCapError(f"an exact result of {bits} bits is too long to print") from exc
 
 
 def _json_value(value, memo: dict) -> str:
@@ -181,11 +182,11 @@ def _json_value(value, memo: dict) -> str:
     if kind is bool or value is None:
         return {True: "true", False: "false", None: "null"}[value]
     if kind is int:
-        return _fmt_int(value)
+        return _fmt_exact(value)
     if kind is float:
         return _fmt_float(value)
     if kind is Fraction:
-        return '"' + str(value) + '"'
+        return '"' + _fmt_exact(value) + '"'
     if kind is complex:
         return _json_value({"re": value.real, "im": value.imag}, memo)
     if kind is Weight:
@@ -200,12 +201,10 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if value is None:
         return ""
-    if isinstance(value, int):
-        return _fmt_int(value)
+    if isinstance(value, (int, Fraction)):
+        return _fmt_exact(value)
     if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, Weight):
         return value.serialize()
     if isinstance(value, CenterElement):
@@ -237,16 +236,19 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def _emit(text: str, output: str | None):
-    if output in (None, "-"):
-        if sys.stdout is None:
-            raise UsageError("standard output is closed")
-        sys.stdout.write(text)
-        return
+    to_stdout = output in (None, "-")
+    if to_stdout and sys.stdout is None:
+        raise UsageError("standard output is closed")
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {output!r}: {exc.strerror}") from exc
+        where = "standard output" if to_stdout else repr(output)
+        raise UsageError(f"cannot write {where}: {exc.strerror}") from exc
 
 
 def _terms_json(spec: LaplacianSpec):

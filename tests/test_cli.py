@@ -212,3 +212,17 @@ def test_closed_stdout_is_a_usage_error():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "usage error: standard output is closed\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["weights", "--type", "A2", "--mu", "1,1"], ["center", "--type", "A2"],
+                                  ["fodc", "--type", "A2", "--max-height", "1"]])
+def test_full_stdout_is_a_usage_error(argv):
+    # every write to /dev/full fails with ENOSPC; the report is lost, so the run must say so
+    env = {**os.environ, "PYTHONPATH": str(Path(qlaplacian.__file__).parents[1])}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qlaplacian.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("usage error: cannot write standard output")
+    assert proc.stderr.count("\n") == 1

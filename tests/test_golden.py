@@ -37,6 +37,10 @@ A1_POWER_40 = "x".join(["A1"] * 40)
 A1_POWER_300 = "x".join(["A1"] * 300)
 # every coordinate 10^20: sum of dim V(mu)^2 has about 4800 digits, past Python's int-to-str limit
 E8_HUGE_MU = ",".join([str(10**20)] * 8)
+# coefficients 1/(10^999 + k), each within the parse limit; a classical value sums them over a
+# denominator of about 5000 digits, past the same limit
+HUGE_DENOMINATOR_TERMS = [arg for k, mu in zip((1, 3, 7, 9, 11), ("1,0", "0,1", "1,1", "2,0", "0,2"))
+                          for arg in ("--term", f"mu={mu}:a=1/{10**999 + k}")]
 
 # name -> (argv, environment overrides)
 CASES = {
@@ -186,6 +190,9 @@ CASES = {
                                      "--radius", "2"], {}),
     # rejections: an integer result too long to print (fodc --term builds no weight system to cap)
     "reject_fodc_dimension_digits": (["fodc", "--type", "E8", "--term", f"mu={E8_HUGE_MU}:a=1"], {}),
+    # rejections: an exact rational result too long to print
+    "reject_limit_classical_digits": (["limit", "--type", "A2", *HUGE_DENOMINATOR_TERMS,
+                                       "--radius", "2"], {}),
     # rejections: heat times
     "reject_heat_t_negative": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "2",
                                 "--t-grid", "-1"], {}),
