@@ -12,9 +12,7 @@ from .cartan import (
     RootSystem,
     SimpleType,
     Weight,
-    apply_w0,
     build_root_system,
-    center_add,
     center_group,
     center_negate,
     center_reduce,

@@ -205,12 +205,6 @@ class RootSystem:
             return x
         return Weight(tuple(x.coords[i] - c * self.cartan[i][j - 1] for i in range(self.rank)))
 
-    def apply_word(self, word: Sequence[int], x: Weight) -> Weight:
-        """Apply s_{word[0]} s_{word[1]} ... s_{word[-1]} to x (rightmost first)."""
-        for j in reversed(word):
-            x = self.reflect(x, j)
-        return x
-
     def factor_slices(self) -> tuple[tuple[int, int], ...]:
         """Half-open coordinate ranges [lo, hi) occupied by each simple factor."""
         slices = []
@@ -281,21 +275,23 @@ def _simple_cartan(t: SimpleType) -> tuple[list[list[int]], list[int]]:
     return a, d
 
 
-def _invert_rational(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+def _det_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """det(M) and adj(M) of an integer matrix by fraction-free Gauss-Jordan (Bareiss 1968).
+
+    [M | I] becomes [det(M) I | adj(M)]: each step divides exactly by the previous
+    pivot, so every entry stays an integer.  The blocks built here are positive
+    definite, so every leading minor, and so every pivot, is positive: no row swap.
+    """
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
+    aug = [list(line) + [int(i == j) for j in range(n)] for i, line in enumerate(matrix)]
+    det = 1
     for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
+        pivot, prev, det = aug[col], det, aug[col][col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+                aug[r] = [(det * v - f * w) // prev for v, w in zip(aug[r], pivot)]
+    return det, [line[n:] for line in aug]
 
 
 def _plate(t: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
@@ -328,9 +324,9 @@ def _plate(t: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, 
     return center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
 
 
-# The build costs one exact inversion per simple factor (rank^3 Fraction steps) and
+# The build costs one fraction-free elimination per simple factor (rank^3 integer steps) and
 # O(positive roots x rank) integer steps; at these caps the largest label of each shape
-# (A44, B31, C31, D32, A1^128, G2^64, E8^8) builds in under 0.5 s, A44 the slowest
+# (A44, B31, C31, D32, A1^128, G2^64, E8^8) builds in under 0.03 s, A44 the slowest
 # (Python 3.11, 2 CPUs).
 MAX_BUILD_RANK = 128
 MAX_BUILD_ROOTS = 1000
@@ -364,23 +360,27 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
 
     # A product is a direct sum: each factor places its Cartan block and its Gram block
     # G_f = scale D_f M_f^{-1} D_f, with M_f = D_f A_f its symmetrized Cartan matrix.
+    # With scale = s/t, G_f is the integer matrix N = s D_f adj(M_f) D_f over t det(M_f);
+    # dividing both by their gcd g leaves the least denominator of G_f.
+    s, t = scale.numerator, scale.denominator
     cartan = [[0] * n for _ in range(n)]
-    gram = [[0] * n for _ in range(n)]
-    d0, perm, highest = [], [], []
+    blocks, d0, perm, highest = [], [], [], []
     lo = 0
     for f, (_, fperm, top, _) in zip(parsed, plates):
         block, dblock = _simple_cartan(f)
-        minv = _invert_rational([[di * a for a in line] for di, line in zip(dblock, block)])
-        for i in range(f.rank):
-            for j in range(f.rank):
-                cartan[lo + i][lo + j] = block[i][j]
-                gram[lo + i][lo + j] = scale * dblock[i] * minv[i][j] * dblock[j]
+        det, adj = _det_adjugate([[di * a for a in line] for di, line in zip(dblock, block)])
+        num = [[s * di * a * dj for a, dj in zip(line, dblock)] for di, line in zip(dblock, adj)]
+        g = math.gcd(t * det, *itertools.chain(*num))
+        blocks.append((lo, t * det // g, [[v // g for v in line] for line in num]))
+        for i, line in enumerate(block):
+            cartan[lo + i][lo:lo + f.rank] = line
         d0.extend(dblock)
         perm.extend(lo + j for j in fperm)
         highest.append(Weight((0,) * lo + top + (0,) * (n - lo - f.rank)))
         lo += f.rank
-    denominator = math.lcm(*(g.denominator for line in gram for g in line))
-    form = tuple(tuple(int(g * denominator) for g in line) for line in gram)
+    denominator = math.lcm(*(den for _, den, _ in blocks))
+    form = tuple(tuple([0] * lo + [v * (denominator // den) for v in line] + [0] * (n - lo - len(line)))
+                 for lo, den, num in blocks for line in num)
 
     # Longest-element word by greedy descent from rho (smallest index first), and the
     # positive roots along it.  image[k] is the word so far applied to w_k, so the next
@@ -449,10 +449,6 @@ def minus_w0(R: RootSystem, x: Weight) -> Weight:
     return Weight(tuple(x.coords[k - 1] for k in R.w0_perm))
 
 
-def apply_w0(R: RootSystem, x: Weight) -> Weight:
-    return -minus_w0(R, x)
-
-
 # ---------------------------------------------------------------------------
 # Center group P-dual / Q-dual
 # ---------------------------------------------------------------------------
@@ -511,10 +507,6 @@ def center_reduce(R: RootSystem, rep: Sequence[int]) -> CenterElement:
             for k in range(R.rank):
                 v[k] -= q * basis[i][k]
     return CenterElement(tuple(v))
-
-
-def center_add(R: RootSystem, a: CenterElement, b: CenterElement) -> CenterElement:
-    return center_reduce(R, [x + y for x, y in zip(a.rep, b.rep)])
 
 
 def center_negate(R: RootSystem, a: CenterElement) -> CenterElement:
@@ -624,9 +616,12 @@ def enumerate_dominant(R: RootSystem, radius, max_rows: int | None = None) -> li
     """All dominant integral weights with (x, x) <= radius, in graded-lex order.
 
     Finiteness comes from positive definiteness of the Gram matrix; all of its
-    entries are nonnegative, so the norm is monotone in each coordinate.
+    entries are nonnegative, so the norm is monotone in each coordinate.  Each
+    probe compares the integer D (x, x) = x . (D G x) with floor(D radius).
     """
     radius = Fraction(radius)
     if radius <= 0:
         raise InvariantError("radius must be a positive rational")
-    return walk_dominant(R, lambda coords: norm_squared(R, Weight.of(coords)) <= radius, max_rows)
+    form, bound = R.form, radius.numerator * R.denominator // radius.denominator
+    return walk_dominant(R, lambda x: sum(a * sum(map(mul, line, x)) for a, line in zip(x, form)) <= bound,
+                         max_rows)

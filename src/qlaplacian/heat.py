@@ -48,22 +48,6 @@ class BlockCoefficients:
         return BlockCoefficients(tuple(sorted(blocks, key=lambda b: graded_key(b[0]))))
 
 
-def blocks_to_json(coeffs: BlockCoefficients) -> list:
-    """JSON form: a list of {"lambda": int[], "matrix": [[{"re", "im"}, ...], ...]}."""
-    return [{
-        "lambda": list(lam.coords),
-        "matrix": [[{"re": v.real, "im": v.imag} for v in row] for row in matrix],
-    } for lam, matrix in coeffs.blocks]
-
-
-def blocks_from_json(R: RootSystem, data) -> BlockCoefficients:
-    return BlockCoefficients.of(R, [
-        (Weight.of(item["lambda"]),
-         [[complex(v["re"], v["im"]) for v in row] for row in item["matrix"]])
-        for item in data
-    ])
-
-
 def heat_coefficient(R: RootSystem, spec: LaplacianSpec, lam: Weight, q, t: float) -> float:
     """e^{-t C(lam)}; equals 1 at t = 0 and at lam = 0."""
     if t < 0:

@@ -16,9 +16,15 @@ witness formula as written, a difference of Casimir values, evaluated in
 checked set of pairs and its star verdict with the partner matching, one
 calculus at a time on the package's center arithmetic, where the package
 reads per-pair tables.  `reference_root_system` is the whole-matrix build on
-the package's per-factor tables: one inversion of the product's Cartan
-matrix and a replay of the word prefix for each positive root, where the
-package inverts factor by factor and carries the prefix images.
+the package's per-factor tables: one `Fraction` Gauss-Jordan inversion of
+the product's symmetrized Cartan matrix (`rational_inverse`, this module's
+own) and a replay of the word prefix for each positive root, where the
+package takes an integer determinant and adjugate factor by factor and
+carries the prefix images; it imports none of the package's build
+arithmetic.  The helpers that only the tests read live here too:
+`apply_word`, `apply_w0` (by the longest-element word), `center_add`, and
+the JSON form of heat-semigroup blocks (`blocks_to_json`,
+`blocks_from_json`).
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from qlaplacian.cartan import (
     CenterElement,
     RootSystem,
     Weight,
-    _invert_rational,
     _plate,
     _simple_cartan,
     center_negate,
@@ -44,6 +49,7 @@ from qlaplacian.cartan import (
     parse_type_label,
 )
 from qlaplacian.errors import InvariantError
+from qlaplacian.heat import BlockCoefficients
 from qlaplacian.weights import dim_irrep, weight_system
 
 
@@ -113,13 +119,43 @@ def root_height(R: RootSystem, beta: Weight) -> Fraction:
     return sum(_root_coefficients(R, beta))
 
 
-def reference_root_system(labels, scale=1) -> RootSystem:
-    """The whole-matrix build: invert the product's symmetrized Cartan matrix, zero blocks
-    included, and make each positive root by replaying the longest-element word's prefix.
+def rational_inverse(matrix) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination over Q."""
+    n = len(matrix)
+    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(j == i)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
-    It reads the per-factor tables (`_simple_cartan`, `_plate`) and the exact inverse
-    (`_invert_rational`) that the package reads; what it checks is how the package
-    assembles them, one Gram block per factor and the roots from carried prefix images.
+
+def apply_word(R: RootSystem, word, x: Weight) -> Weight:
+    """Apply s_{word[0]} s_{word[1]} ... s_{word[-1]} to x (rightmost first)."""
+    for j in reversed(word):
+        x = R.reflect(x, j)
+    return x
+
+
+def apply_w0(R: RootSystem, x: Weight) -> Weight:
+    """w0 x, by the longest-element word."""
+    return apply_word(R, R.w0_word, x)
+
+
+def reference_root_system(labels, scale=1) -> RootSystem:
+    """The whole-matrix build: invert the product's symmetrized Cartan matrix in `Fraction`s,
+    zero blocks included, and make each positive root by replaying the longest-element word's prefix.
+
+    It reads the per-factor tables (`_simple_cartan`, `_plate`) that the package reads, and
+    nothing of the package's build arithmetic; what it checks is how the package assembles
+    those tables: each factor's Gram block from its integer determinant and adjugate, and the
+    roots from carried prefix images.
     """
     parsed = tuple(f for label in labels for f in parse_type_label(label))
     scale = Fraction(scale)
@@ -137,7 +173,7 @@ def reference_root_system(labels, scale=1) -> RootSystem:
         perm.extend(lo + j for j in fperm)
         highest.append(Weight((0,) * lo + top + (0,) * (n - lo - f.rank)))
         lo += f.rank
-    minv = _invert_rational([[Fraction(d0[i] * cartan[i][j]) for j in range(n)] for i in range(n)])
+    minv = rational_inverse([[d0[i] * cartan[i][j] for j in range(n)] for i in range(n)])
     gram = [[scale * d0[i] * minv[i][j] * d0[j] for j in range(n)] for i in range(n)]
     denominator = math.lcm(*(g.denominator for line in gram for g in line))
     skeleton = RootSystem(
@@ -152,7 +188,7 @@ def reference_root_system(labels, scale=1) -> RootSystem:
     while (j := next((k + 1 for k in range(n) if cur.coords[k] > 0), None)) is not None:
         word.append(j)
         cur = skeleton.reflect(cur, j)
-    roots = tuple(skeleton.apply_word(word[:r], skeleton.simple_root(j)) for r, j in enumerate(word))
+    roots = tuple(apply_word(skeleton, word[:r], skeleton.simple_root(j)) for r, j in enumerate(word))
     return replace(skeleton, positive_roots=roots, w0_word=tuple(word))
 
 
@@ -406,6 +442,10 @@ def reference_witness(R: RootSystem, mu: Weight, q: float) -> Decimal:
 # ---------------------------------------------------------------------------
 
 
+def center_add(R: RootSystem, a: CenterElement, b: CenterElement) -> CenterElement:
+    return center_reduce(R, [x + y for x, y in zip(a.rep, b.rep)])
+
+
 def _pair_order(pair):
     zeta, mu = pair
     return (sum(zeta.rep), zeta.rep, sum(mu.coords), mu.coords)
@@ -469,3 +509,24 @@ def reference_star_structure(R: RootSystem, idx: FodcIndex) -> StarReport:
             unmatched.append(pair)
     return StarReport(admissible=not unmatched,
                       matching=tuple(matching), unmatched=tuple(unmatched))
+
+
+# ---------------------------------------------------------------------------
+# Heat-semigroup blocks as JSON
+# ---------------------------------------------------------------------------
+
+
+def blocks_to_json(coeffs: BlockCoefficients) -> list:
+    """JSON form: a list of {"lambda": int[], "matrix": [[{"re", "im"}, ...], ...]}."""
+    return [{
+        "lambda": list(lam.coords),
+        "matrix": [[{"re": v.real, "im": v.imag} for v in row] for row in matrix],
+    } for lam, matrix in coeffs.blocks]
+
+
+def blocks_from_json(R: RootSystem, data) -> BlockCoefficients:
+    return BlockCoefficients.of(R, [
+        (Weight.of(item["lambda"]),
+         [[complex(v["re"], v["im"]) for v in row] for row in item["matrix"]])
+        for item in data
+    ])

@@ -36,6 +36,7 @@ from qlaplacian.spectra import (
 from qlaplacian.weights import dim_irrep, weight_system
 
 from oracles import (
+    apply_w0,
     brute_weyl_group,
     direct_character_value,
     invariant_factors_by_minors,
@@ -250,7 +251,7 @@ def test_criterion_9_antipode_symmetry():
             h = math.log(q)
             lam = Weight.of([rng.randint(0, 5), rng.randint(0, 5)])
             lhs = casimir_eigenvalue(r, mu, lam, q)
-            w0lam = r.apply_word(r.w0_word, lam)
+            w0lam = apply_w0(r, lam)
             rhs = sum(m * math.exp(2.0 * float(inner_product(r, w0lam - rho, w)) * h)
                       for w, m in dual_system)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))

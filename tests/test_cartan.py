@@ -9,9 +9,7 @@ import pytest
 import qlaplacian.cartan as cartan
 from qlaplacian.cartan import (
     Weight,
-    apply_w0,
     build_root_system,
-    center_add,
     center_group,
     center_negate,
     center_order,
@@ -26,6 +24,8 @@ from qlaplacian.cartan import (
 from qlaplacian.errors import InvariantError, ResourceCapError
 
 from oracles import (
+    apply_w0,
+    center_add,
     invariant_factors_by_minors,
     rational_det,
     reference_minus_w0,
@@ -324,6 +324,26 @@ def test_enumerate_dominant_is_exactly_the_norm_ball():
     assert heights == sorted(heights)
 
 
+# a weight on the boundary sphere, on a product and on a form scaled by 7/5
+BALL_BOUNDARY_CASES = [("A1xG2", 1, (1, 1, 1)), ("B2xA2", Fraction(7, 5), (1, 0, 2, 1))]
+
+
+@pytest.mark.parametrize("label,scale,coords", BALL_BOUNDARY_CASES)
+def test_norm_ball_keeps_its_boundary(label, scale, coords):
+    r = build_root_system([label], scale)
+    lam = Weight.of(coords)
+    norm = inner_product(r, lam, lam)
+    for radius in (norm, norm - Fraction(1, 10**30)):
+        # every Gram entry is nonnegative, so a dominant x in the ball has x_j^2 (w_j, w_j) <= radius
+        box = [math.isqrt(math.floor(radius / norm_squared(r, Weight.fundamental(r.rank, j))))
+               for j in range(1, r.rank + 1)]
+        brute = {w for w in map(Weight.of, itertools.product(*(range(b + 1) for b in box)))
+                 if inner_product(r, w, w) <= radius}
+        got = enumerate_dominant(r, radius)
+        assert len(got) == len(brute) and set(got) == brute, radius
+        assert (lam in got) == (radius == norm)
+
+
 def test_enumerate_dominant_guards():
     a1 = R("A1")
     with pytest.raises(InvariantError):
@@ -371,6 +391,24 @@ def test_build_equals_the_whole_matrix_build(label, scale):
     assert [list(map(type, w.coords)) for w in R.positive_roots] == \
         [list(map(type, w.coords)) for w in ref.positive_roots]
     assert R == ref
+
+
+# every simple label the build cap accepts: A1-A44, B2-B31, C3-C31, D4-D32, E6-E8, F4, G2
+ACCEPTED_RANKS = {"A": range(1, 45), "B": range(2, 32), "C": range(3, 32), "D": range(4, 33),
+                  "E": range(6, 9), "F": [4], "G": [2]}
+
+
+@pytest.mark.parametrize("family", sorted(ACCEPTED_RANKS))
+def test_det_adjugate_of_every_symmetrized_cartan_matrix(family):
+    for n in ACCEPTED_RANKS[family]:
+        (t,) = parse_type_label(f"{family}{n}")
+        a, d = cartan._simple_cartan(t)
+        m = [[di * x for x in line] for di, line in zip(d, a)]
+        det, adj = cartan._det_adjugate(m)
+        product = [[sum(x * adj[k][j] for k, x in enumerate(line) if x) for j in range(n)] for line in m]
+        assert product == [[det * (i == j) for j in range(n)] for i in range(n)], t
+        # det M = prod d_i * det A, and det A = |P/Q|, the order of the center (Bourbaki's plates)
+        assert det == math.prod(d) * math.prod(cartan._plate(t)[0]), t
 
 
 def test_positive_root_counts_match_the_build():

@@ -9,14 +9,14 @@ from qlaplacian.errors import InvariantError
 from qlaplacian.heat import (
     BlockCoefficients,
     apply_heat,
-    blocks_from_json,
-    blocks_to_json,
     heat_coefficient,
     heat_trace,
     heat_trace_report,
     markov_verdict,
 )
 from qlaplacian.spectra import LaplacianSpec, q_laplacian_eigenvalue
+
+from oracles import blocks_from_json, blocks_to_json
 
 
 def R(label):

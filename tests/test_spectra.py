@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import reference_witness
+from oracles import apply_w0, reference_witness
 from qlaplacian.cartan import (
     Weight,
     build_root_system,
@@ -331,7 +331,7 @@ def test_antipode_symmetry_of_casimir():
             q = rng.uniform(0.2, 0.95)
             lam = Weight.of([rng.randint(0, 4), rng.randint(0, 4)])
             lhs = casimir_eigenvalue(A2, mu, lam, q)
-            w0lam = A2.apply_word(A2.w0_word, lam)
+            w0lam = apply_w0(A2, lam)
             h = math.log(q)
             rhs = sum(m * math.exp(2 * float(inner_product(A2, w0lam - A2.weyl_vector, w)) * h)
                       for w, m in weight_system(A2, dual))

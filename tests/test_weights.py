@@ -9,6 +9,7 @@ from qlaplacian.errors import InvariantError, ResourceCapError
 from qlaplacian.weights import _orbit_size, _root_table, _weyl_orbit, dim_irrep, weight_system
 
 from oracles import (
+    apply_w0,
     brute_weyl_group,
     direct_character_value,
     reference_dominant_weights,
@@ -97,7 +98,7 @@ def test_extreme_weights_have_multiplicity_one():
         for mu in dominant_up_to(r, 3):
             ws = weight_system(r, mu)
             assert ws.multiplicity(mu) == 1
-            lowest = r.apply_word(r.w0_word, mu)
+            lowest = apply_w0(r, mu)
             assert ws.multiplicity(lowest) == 1
 
 
