@@ -74,6 +74,23 @@ def rational_det(matrix) -> Fraction:
     return det
 
 
+def rational_inverse(matrix) -> list[list[Fraction]]:
+    """Exact inverse by Gauss-Jordan elimination over Q."""
+    n = len(matrix)
+    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(j == i)) for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def reflection_closure_positive_roots(R: RootSystem) -> set[Weight]:
     """Close the simple roots under simple reflections; keep the positive half.
 
@@ -100,40 +117,12 @@ def reflection_closure_positive_roots(R: RootSystem) -> set[Weight]:
 
 def _root_coefficients(R: RootSystem, beta: Weight) -> list[Fraction]:
     """Solve cartan * c = coords (the j-th column of cartan is alpha_j)."""
-    n = R.rank
-    a = [[Fraction(R.cartan[i][j]) for j in range(n)] + [beta.coords[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [v / pv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+    return [sum(m * b for m, b in zip(row, beta.coords)) for row in rational_inverse(R.cartan)]
 
 
 def root_height(R: RootSystem, beta: Weight) -> Fraction:
     """The height of beta: the sum of its simple-root coefficients."""
     return sum(_root_coefficients(R, beta))
-
-
-def rational_inverse(matrix) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination over Q."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(j == i)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def apply_word(R: RootSystem, word, x: Weight) -> Weight:
