@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -247,6 +248,8 @@ def _emit(text: str, output: str | None):
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
     except OSError as exc:
+        if to_stdout:  # drop the buffered report, or the flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = "standard output" if to_stdout else repr(output)
         raise UsageError(f"cannot write {where}: {exc.strerror}") from exc
 

@@ -218,8 +218,10 @@ def test_closed_stdout_is_a_usage_error():
 @pytest.mark.parametrize("argv", [["weights", "--type", "A2", "--mu", "1,1"], ["center", "--type", "A2"],
                                   ["fodc", "--type", "A2", "--max-height", "1"]])
 def test_full_stdout_is_a_usage_error(argv):
-    # every write to /dev/full fails with ENOSPC; the report is lost, so the run must say so
-    env = {**os.environ, "PYTHONPATH": str(Path(qlaplacian.__file__).parents[1])}
+    # every write to /dev/full fails with ENOSPC; the report is lost, so the run must say so.
+    # Buffered stdout, as in a plain shell: the failed report must not be flushed again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(qlaplacian.__file__).parents[1])
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "qlaplacian.cli", *argv], stdout=full,
                               stderr=subprocess.PIPE, env=env, text=True, timeout=60)
