@@ -276,12 +276,9 @@ def _simple_cartan(t: SimpleType) -> tuple[list[list[int]], list[int]]:
 
 
 def _det_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """det(M) and adj(M) of an integer matrix by fraction-free Gauss-Jordan (Bareiss 1968).
+    """det(M) and adj(M) by fraction-free Gauss-Jordan on [M | I] (Bareiss 1968), exact in integers.
 
-    [M | I] becomes [det(M) I | adj(M)]: each step divides exactly by the previous
-    pivot, so every entry stays an integer.  The blocks built here are positive
-    definite, so every leading minor, and so every pivot, is positive: no row swap.
-    """
+    M is positive definite here, so every pivot (a leading minor) is positive: no row swap."""
     n = len(matrix)
     aug = [list(line) + [int(i == j) for j in range(n)] for i, line in enumerate(matrix)]
     det = 1
@@ -359,28 +356,25 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
         )
 
     # A product is a direct sum: each factor places its Cartan block and its Gram block
-    # G_f = scale D_f M_f^{-1} D_f, with M_f = D_f A_f its symmetrized Cartan matrix.
-    # With scale = s/t, G_f is the integer matrix N = s D_f adj(M_f) D_f over t det(M_f);
-    # dividing both by their gcd g leaves the least denominator of G_f.
+    # scale D_f M_f^{-1} D_f, M_f = D_f A_f.  With scale = s/t that is s D_f adj(M_f) D_f
+    # over t det(M_f), both integers; dividing by their gcd g leaves the least denominator.
     s, t = scale.numerator, scale.denominator
-    cartan = [[0] * n for _ in range(n)]
-    blocks, d0, perm, highest = [], [], [], []
+    cartan, rows, d0, perm, highest = [], [], [], [], []
     lo = 0
     for f, (_, fperm, top, _) in zip(parsed, plates):
         block, dblock = _simple_cartan(f)
         det, adj = _det_adjugate([[di * a for a in line] for di, line in zip(dblock, block)])
         num = [[s * di * a * dj for a, dj in zip(line, dblock)] for di, line in zip(dblock, adj)]
         g = math.gcd(t * det, *itertools.chain(*num))
-        blocks.append((lo, t * det // g, [[v // g for v in line] for line in num]))
-        for i, line in enumerate(block):
-            cartan[lo + i][lo:lo + f.rank] = line
+        left, right = [0] * lo, [0] * (n - lo - f.rank)
+        cartan.extend(left + line + right for line in block)
+        rows.extend((t * det // g, left + [v // g for v in line] + right) for line in num)
         d0.extend(dblock)
         perm.extend(lo + j for j in fperm)
         highest.append(Weight((0,) * lo + top + (0,) * (n - lo - f.rank)))
         lo += f.rank
-    denominator = math.lcm(*(den for _, den, _ in blocks))
-    form = tuple(tuple([0] * lo + [v * (denominator // den) for v in line] + [0] * (n - lo - len(line)))
-                 for lo, den, num in blocks for line in num)
+    denominator = math.lcm(*(den for den, _ in rows))
+    form = tuple(tuple(v * (denominator // den) for v in row) for den, row in rows)
 
     # Longest-element word by greedy descent from rho (smallest index first), and the
     # positive roots along it.  image[k] is the word so far applied to w_k, so the next
@@ -615,9 +609,8 @@ def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],
 def enumerate_dominant(R: RootSystem, radius, max_rows: int | None = None) -> list[Weight]:
     """All dominant integral weights with (x, x) <= radius, in graded-lex order.
 
-    Finiteness comes from positive definiteness of the Gram matrix; all of its
-    entries are nonnegative, so the norm is monotone in each coordinate.  Each
-    probe compares the integer D (x, x) = x . (D G x) with floor(D radius).
+    Finiteness comes from positive definiteness of the Gram matrix, and its entries are
+    nonnegative, so the norm is monotone in each coordinate; probes test D (x, x) <= floor(D radius).
     """
     radius = Fraction(radius)
     if radius <= 0:
