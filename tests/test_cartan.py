@@ -312,36 +312,31 @@ def test_enumerate_dominant_examples():
         assert enumerate_dominant(r, min_norm - Fraction(1, 1000)) == [Weight.zero(r.rank)]
 
 
+# (label, scale, radius or a weight whose norm is the radius, amount taken off the radius):
+# a plain ball, and a weight on the boundary sphere, on a product and on a form scaled by 7/5
+NORM_BALL_CASES = [("G2", 1, 30, 0)] + [
+    (label, scale, coords, below) for label, scale, coords in
+    [("A1xG2", 1, (1, 1, 1)), ("B2xA2", Fraction(7, 5), (1, 0, 2, 1))] for below in (0, Fraction(1, 10**30))]
+
+
 def test_enumerate_dominant_is_exactly_the_norm_ball():
-    g2 = R("G2")
-    got = enumerate_dominant(g2, 30)
-    assert all(norm_squared(g2, w) <= 30 and w.is_dominant for w in got)
-    # brute-force box double-check
-    brute = [Weight.of([a, b]) for a in range(10) for b in range(10)
-             if norm_squared(g2, Weight.of([a, b])) <= 30]
-    assert set(got) == set(brute)
-    heights = [(w.height, w.coords) for w in got]
-    assert heights == sorted(heights)
-
-
-# a weight on the boundary sphere, on a product and on a form scaled by 7/5
-BALL_BOUNDARY_CASES = [("A1xG2", 1, (1, 1, 1)), ("B2xA2", Fraction(7, 5), (1, 0, 2, 1))]
-
-
-@pytest.mark.parametrize("label,scale,coords", BALL_BOUNDARY_CASES)
-def test_norm_ball_keeps_its_boundary(label, scale, coords):
-    r = build_root_system([label], scale)
-    lam = Weight.of(coords)
-    norm = inner_product(r, lam, lam)
-    for radius in (norm, norm - Fraction(1, 10**30)):
-        # every Gram entry is nonnegative, so a dominant x in the ball has x_j^2 (w_j, w_j) <= radius
+    for label, scale, sphere, below in NORM_BALL_CASES:
+        r = build_root_system([label], scale)
+        lam = Weight.of(sphere) if isinstance(sphere, tuple) else None
+        radius = (sphere if lam is None else inner_product(r, lam, lam)) - below
+        got = enumerate_dominant(r, radius)
+        assert all(norm_squared(r, w) <= radius and w.is_dominant for w in got)
+        # brute-force box double-check: every Gram entry is nonnegative,
+        # so a dominant x in the ball has x_j^2 (w_j, w_j) <= radius
         box = [math.isqrt(math.floor(radius / norm_squared(r, Weight.fundamental(r.rank, j))))
                for j in range(1, r.rank + 1)]
         brute = {w for w in map(Weight.of, itertools.product(*(range(b + 1) for b in box)))
                  if inner_product(r, w, w) <= radius}
-        got = enumerate_dominant(r, radius)
-        assert len(got) == len(brute) and set(got) == brute, radius
-        assert (lam in got) == (radius == norm)
+        assert len(got) == len(brute) and set(got) == brute, (label, radius)
+        heights = [(w.height, w.coords) for w in got]
+        assert heights == sorted(heights)
+        if lam is not None:
+            assert (lam in got) == (below == 0), (label, radius)
 
 
 def test_enumerate_dominant_guards():
