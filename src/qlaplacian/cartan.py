@@ -276,9 +276,12 @@ def _simple_cartan(t: SimpleType) -> tuple[list[list[int]], list[int]]:
 
 
 def _det_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """det(M) and adj(M) by fraction-free Gauss-Jordan on [M | I] (Bareiss 1968), exact in integers.
+    """det(M) and adj(M) of an integer matrix by fraction-free Gauss-Jordan (Bareiss 1968).
 
-    M is positive definite here, so every pivot (a leading minor) is positive: no row swap."""
+    [M | I] becomes [det(M) I | adj(M)]: each step divides exactly by the previous
+    pivot, so every entry stays an integer.  The blocks built here are positive
+    definite, so every leading minor, and so every pivot, is positive: no row swap.
+    """
     n = len(matrix)
     aug = [list(line) + [int(i == j) for j in range(n)] for i, line in enumerate(matrix)]
     det = 1
@@ -609,8 +612,9 @@ def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],
 def enumerate_dominant(R: RootSystem, radius, max_rows: int | None = None) -> list[Weight]:
     """All dominant integral weights with (x, x) <= radius, in graded-lex order.
 
-    Finiteness comes from positive definiteness of the Gram matrix, and its entries are
-    nonnegative, so the norm is monotone in each coordinate; probes test D (x, x) <= floor(D radius).
+    Finiteness comes from positive definiteness of the Gram matrix; all of its
+    entries are nonnegative, so the norm is monotone in each coordinate.  Each
+    probe compares the integer D (x, x) = x . (D G x) with floor(D radius).
     """
     radius = Fraction(radius)
     if radius <= 0:
