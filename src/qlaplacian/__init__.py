@@ -45,7 +45,6 @@ from .heat import (
 from .spectra import (
     GeneralFunctionalSpec,
     LaplacianSpec,
-    QParam,
     SpectrumRow,
     casimir_eigenvalue,
     classical_laplacian_eigenvalue,

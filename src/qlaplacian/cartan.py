@@ -545,15 +545,13 @@ def is_half_coroot(R: RootSystem, zeta: CenterElement) -> bool:
 def coweight_pairing(R: RootSystem, zeta: CenterElement, lam: Weight) -> Fraction:
     """(xi, lam) for the coweight vector xi represented by `zeta`, exactly.
 
-    Independent of the global form scale: (w_i-check, lam) = (w_i, lam)/d_i.
+    Independent of the global form scale: (w_i-check, lam) = (w_i, lam)/d_i, and
+    D (w_i, lam) is entry i of R.row(lam).
     """
     _check_length(R, lam)
-    total = Fraction(0)
-    for i, zi in enumerate(zeta.rep):
-        if zi:
-            wi = Weight.fundamental(R.rank, i + 1)
-            total += zi * inner_product(R, wi, lam) / R.d[i]
-    return total
+    row = R.row(lam)
+    return sum((Fraction(zi * row[i], R.denominator) / R.d[i] for i, zi in enumerate(zeta.rep) if zi),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ from .heat import heat_trace_report, markov_verdict
 from .spectra import (
     GeneralFunctionalSpec,
     LaplacianSpec,
-    QParam,
     classical_laplacian_eigenvalue,
+    log_q,
     lower_bound,
     q_laplacian_eigenvalue,
     qms_witness,
@@ -263,19 +263,16 @@ def _terms_json(spec: LaplacianSpec):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> dict:
-    R = build_root_system([args.type])
+def _cmd_spectrum(args, R: RootSystem) -> dict:
     spec = _laplacian_spec(R, args.term)
-    q = QParam(args.q)
+    log_q(args.q)
     radius = _parse_rational(args.radius, "radius")
-    rows = spectrum_scan(R, spec, q, radius, row_cap=args.row_cap)
-    bound = lower_bound(R, spec, q)
+    rows = spectrum_scan(R, spec, args.q, radius, row_cap=args.row_cap)
+    bound = lower_bound(R, spec, args.q)
     best = min(rows, key=lambda r: r.eigenvalue)
     return {
-        "command": "spectrum",
-        "type": args.type,
         "terms": _terms_json(spec),
-        "q": q.q,
+        "q": args.q,
         "radius": radius,
         "lower_bound": bound,
         "min_eigenvalue": best.eigenvalue,
@@ -284,8 +281,7 @@ def _cmd_spectrum(args) -> dict:
     }
 
 
-def _cmd_limit(args) -> dict:
-    R = build_root_system([args.type])
+def _cmd_limit(args, R: RootSystem) -> dict:
     spec = _laplacian_spec(R, args.term)
     radius = _parse_rational(args.radius, "radius")
     rows = []
@@ -302,8 +298,6 @@ def _cmd_limit(args) -> dict:
         row["ratio_0.99_0.999"] = ratios[1]
         rows.append(row)
     return {
-        "command": "limit",
-        "type": args.type,
         "terms": _terms_json(spec),
         "q_ladder": list(LIMIT_LADDER),
         "radius": radius,
@@ -311,45 +305,36 @@ def _cmd_limit(args) -> dict:
     }
 
 
-def _cmd_witness(args) -> dict:
-    R = build_root_system([args.type])
-    q = QParam(args.q)
+def _cmd_witness(args, R: RootSystem) -> dict:
+    log_q(args.q)
     if not args.mu:
         raise UsageError("at least one --mu is required")
     rows = []
     for text in args.mu:
         mu = Weight.of(_parse_int_vector(text, "mu", R.rank))
-        w = qms_witness(R, mu, q)
+        w = qms_witness(R, mu, args.q)
         rows.append({
             "mu": mu,
             "witness": w,
             "verdict": "not quantum Markov" if w > 0 else "witness vanishes (mu = 0)",
         })
-    report = {
-        "command": "witness",
-        "type": args.type,
-        "q": q.q,
-        "rows": rows,
-    }
+    report = {"q": args.q, "rows": rows}
     if len(R.factors) > 1:
         report["semisimple_convention"] = "per-factor highest roots summed"
     return report
 
 
-def _cmd_fodc(args) -> dict:
+def _cmd_fodc(args, R: RootSystem) -> dict:
     if args.term and (args.max_height, args.include_center, args.index_cap) != (None, False, None):
         raise UsageError("fodc --term (validate) takes no --max-height, --include-center or --index-cap")
     cap = DEFAULT_INDEX_CAP if args.index_cap is None else args.index_cap
     if cap < 0:
         raise UsageError(f"--index-cap must be nonnegative, got {cap}")
-    R = build_root_system([args.type])
     if args.term:
         spec = _general_spec(R, args.term)
         verdict = validate_functional(R, spec)
         induced = induced_class(R, spec)
         return {
-            "command": "fodc",
-            "type": args.type,
             "terms": [{"zeta": z, "mu": mu, "a": a} for z, mu, a in spec.terms],
             "self_adjoint": verdict.self_adjoint,
             "hermitian": verdict.hermitian,
@@ -363,8 +348,6 @@ def _cmd_fodc(args) -> dict:
         raise UsageError("fodc needs either --term (validate) or --max-height (enumerate)")
     calculi = enumerate_fodc_indices(R, args.max_height, args.include_center, max_indices=cap)
     return {
-        "command": "fodc",
-        "type": args.type,
         "max_height": args.max_height,
         "include_center": args.include_center,
         "count": len(calculi),
@@ -373,39 +356,33 @@ def _cmd_fodc(args) -> dict:
     }
 
 
-def _cmd_heat(args) -> dict:
-    R = build_root_system([args.type])
+def _cmd_heat(args, R: RootSystem) -> dict:
     spec = _laplacian_spec(R, args.term)
-    q = QParam(args.q)
+    log_q(args.q)
     radius = _parse_rational(args.radius, "radius")
     try:
         grid = [float(part) for part in args.t_grid.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse t grid {args.t_grid!r}") from exc
-    results = heat_trace_report(R, spec, q, grid, radius, row_cap=args.row_cap)
+    results = heat_trace_report(R, spec, args.q, grid, radius, row_cap=args.row_cap)
     rows = [{"t": t, "trace": trace, "truncation_estimate": trunc}
             for t, (trace, trunc) in zip(grid, results)]
-    verdict = markov_verdict(R, spec, q)
+    verdict = markov_verdict(R, spec, args.q)
     return {
-        "command": "heat",
-        "type": args.type,
         "terms": _terms_json(spec),
-        "q": q.q,
+        "q": args.q,
         "radius": radius,
         "quantum_markov": verdict.quantum_markov,
         "rows": rows,
     }
 
 
-def _cmd_center(args) -> dict:
-    R = build_root_system([args.type])
+def _cmd_center(args, R: RootSystem) -> dict:
     order, cap = center_order(R), resolve_row_cap(None)
     if order > cap:
         raise ResourceCapError(f"center group of order {order} exceeds the row cap of {cap}")
     group = center_group(R)
     return {
-        "command": "center",
-        "type": args.type,
         "order": group.order,
         "invariant_factors": list(group.invariant_factors),
         "rows": [{"rep": z, "half_coroot": is_half_coroot(R, z)}
@@ -413,13 +390,10 @@ def _cmd_center(args) -> dict:
     }
 
 
-def _cmd_weights(args) -> dict:
-    R = build_root_system([args.type])
+def _cmd_weights(args, R: RootSystem) -> dict:
     mu = Weight.of(_parse_int_vector(args.mu, "mu", R.rank))
     ws = weight_system(R, mu)
     return {
-        "command": "weights",
-        "type": args.type,
         "mu": mu,
         "dim": ws.dimension,
         "norm": norm_squared(R, mu),
@@ -491,7 +465,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        report = args.fn(args)
+        R = build_root_system([args.type])
+        report = {"command": args.command, "type": args.type, **args.fn(args, R)}
         _emit(_render(report, args.format), args.output)
         return 0
     except UsageError as exc:

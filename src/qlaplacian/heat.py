@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
-from .cartan import RootSystem, Weight, graded_key, norm_squared, untouched_factors
+from .cartan import RootSystem, Weight, graded_key, untouched_factors
 from .errors import InvariantError
 from .spectra import (
     LaplacianSpec,
-    _qparam,
+    log_q,
     q_laplacian_eigenvalue,
     qms_witness,
     spectrum_scan,
@@ -58,6 +59,7 @@ def heat_coefficient(R: RootSystem, spec: LaplacianSpec, lam: Weight, q, t: floa
 def apply_heat(R: RootSystem, spec: LaplacianSpec, coeffs: BlockCoefficients,
                q, t: float) -> BlockCoefficients:
     """Scale every block by its heat coefficient; the support is unchanged."""
+    log_q(q)
     out = []
     for lam, matrix in coeffs.blocks:
         c = heat_coefficient(R, spec, lam, q, t)
@@ -88,8 +90,9 @@ def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float]
         raise InvariantError(f"the heat trace is infinite: no term weight touches factor "
                              f"{missed[0] + 1} ({R.factors[missed[0]]})")
     rows = spectrum_scan(R, spec, q, radius, row_cap=row_cap)
-    boundary_norm = max(norm_squared(R, r.lam) for r in rows)
-    shell = [r for r in rows if norm_squared(R, r.lam) == boundary_norm]
+    norms = [sum(map(mul, r.lam.coords, R.row(r.lam))) for r in rows]  # D (lam, lam), as in the ball test
+    boundary_norm = max(norms)
+    shell = [r for r, norm in zip(rows, norms) if norm == boundary_norm]
     n_max = max(r.dim for r in shell)
     c_min = min(r.eigenvalue for r in shell)
     return [(sum(r.dim ** 2 * math.exp(-t * r.eigenvalue) for r in rows),
@@ -106,7 +109,7 @@ class MarkovVerdict:
 
 def markov_verdict(R: RootSystem, spec: LaplacianSpec, q) -> MarkovVerdict:
     """Never quantum Markov once any block witness is positive."""
-    _qparam(q)
+    log_q(q)
     witnesses = tuple((mu, qms_witness(R, mu, q)) for mu, _ in spec.terms)
     return MarkovVerdict(
         quantum_markov=not any(w > 0 for _, w in witnesses),

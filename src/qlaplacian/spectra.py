@@ -35,26 +35,12 @@ from .cartan import (
 from .errors import InvariantError
 from .weights import dim_irrep, pairings, weight_system
 
-@dataclass(frozen=True)
-class QParam:
-    """Deformation parameter, 0 < q < 1, with q = 1 reserved for classical paths."""
 
-    q: float
-
-    def __post_init__(self):
-        if not (0.0 < self.q <= 1.0):
-            raise InvariantError(f"q must satisfy 0 < q <= 1, got {self.q}")
-
-
-def _qparam(q) -> QParam:
-    return q if isinstance(q, QParam) else QParam(float(q))
-
-
-def _log_q(q) -> float:
-    """ln q for the q-dependent formulas, which reject q = 1 (see the classical ones)."""
-    q = _qparam(q).q
-    if q == 1.0:
-        raise InvariantError("q = 1 is rejected here; use the classical-limit formulas")
+def log_q(q) -> float:
+    """ln q, after the one check 0 < q < 1 (NaN fails it); q = 1 takes the classical formulas."""
+    q = float(q)
+    if not 0.0 < q < 1.0:
+        raise InvariantError(f"q must satisfy 0 < q < 1, got {q}")
     return math.log(q)
 
 
@@ -134,12 +120,12 @@ class SpectrumRow:
 
 def q_number(x, q) -> float:
     """[x]_q = (q^x - q^{-x}) / (q - q^{-1}) = sinh(x ln q) / sinh(ln q)."""
-    return _bracket(float(x), _log_q(q))
+    return _bracket(float(x), log_q(q))
 
 
 def casimir_eigenvalue(R: RootSystem, mu: Weight, lam: Weight, q) -> float:
     """Eigenvalue sum_e mult(e) q^{-2 (lam + r, e)} of the Casimir functional."""
-    h = _log_q(q)
+    h = log_q(q)
     total = 0.0
     for mult, x, _ in _pairings(R, mu, lam):
         total += mult * math.exp(-2.0 * (x / R.denominator) * h)
@@ -148,7 +134,7 @@ def casimir_eigenvalue(R: RootSystem, mu: Weight, lam: Weight, q) -> float:
 
 def q_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight, q) -> float:
     """sum_l a_l sum_e ([(lam+r, e)]_q^2 - [(r, e)]_q^2); exactly 0 at lam = 0."""
-    h = _log_q(q)
+    h = log_q(q)
     D = R.denominator
 
     def term(mu: Weight) -> float:
@@ -173,6 +159,7 @@ def classical_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weig
 
 def general_functional_eigenvalue(R: RootSystem, spec: GeneralFunctionalSpec, lam: Weight, q) -> complex:
     """sum_l a_l e^{2 pi i (xi_l, lam)} C_{z_{mu_l}}(lam), phases from exact rationals."""
+    log_q(q)
     total = 0j
     for zeta, mu, a in spec.terms:
         zeta = center_reduce(R, zeta.rep)
@@ -219,7 +206,7 @@ def killing_form_scale(R: RootSystem) -> Fraction:
 
 def lower_bound(R: RootSystem, spec: LaplacianSpec, q) -> float:
     """-sum_l a_l sum_e [(r, e)]_q^2, a floor for every scan eigenvalue."""
-    h = _log_q(q)
+    h = log_q(q)
     total = 0.0
     for mu, a in spec.terms:
         for mult, _, y in _pairings(R, mu, Weight.zero(R.rank)):
@@ -240,7 +227,7 @@ def qms_witness(R: RootSystem, mu: Weight, q) -> float:
     zero = Weight.zero(R.rank)
     prefactor = casimir_eigenvalue(R, mu, zero, q)
     dual = minus_w0(R, mu)
-    scale = 2.0 * math.sinh(_log_q(q)) ** 2
+    scale = 2.0 * math.sinh(log_q(q)) ** 2
     total = 0.0
     for gamma in R.highest_roots:
         diff = scale * q_laplacian_eigenvalue(R, LaplacianSpec.of([(gamma, 1)]), dual, q)
@@ -251,10 +238,10 @@ def qms_witness(R: RootSystem, mu: Weight, q) -> float:
 def spectrum_scan(R: RootSystem, spec: LaplacianSpec, q, radius,
                   row_cap: int | None = None) -> list[SpectrumRow]:
     """One row per dominant weight with (lam, lam) <= radius, graded-lex order."""
-    qp = _qparam(q)
+    log_q(q)
     lams = enumerate_dominant(R, radius, max_rows=resolve_row_cap(row_cap))
     return [SpectrumRow(lam=lam, dim=dim_irrep(R, lam),
-                        eigenvalue=q_laplacian_eigenvalue(R, spec, lam, qp))
+                        eigenvalue=q_laplacian_eigenvalue(R, spec, lam, q))
             for lam in lams]
 
 

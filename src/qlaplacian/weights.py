@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import mul
 
 from .cartan import RootSystem, Weight, check_dominant_integral, graded_key, resolve_row_cap
-from .cartan import inner_product  # noqa: F401 -- perfbench/tracer.py binds it (COUNTED) until ROADMAP item 1
+from .cartan import inner_product  # noqa: F401 -- perfbench/tracer.py binds it (COUNTED) until ROADMAP item 2
 from .errors import InvariantError, ResourceCapError
 
 

@@ -299,6 +299,19 @@ def test_is_half_coroot_examples():
         assert is_half_coroot(a2, z) == z.is_zero
 
 
+@pytest.mark.parametrize("label", ["A2", "D4", "E6", "A1xG2"])
+def test_coweight_pairing_sums_fundamental_weight_pairings(label):
+    # (xi, lam) = sum_i zeta_i (w_i, lam) / d_i, for every class and every dominant lam of height <= 3;
+    # the form's scale cancels, so the system at scale 7/5 gives the same values
+    r, scaled = R(label), build_root_system(parse_type_label(label), scale=Fraction(7, 5))
+    lams = [Weight.of(c) for c in itertools.product(range(4), repeat=r.rank) if sum(c) <= 3]
+    for z in center_group(r).representatives:
+        for lam in lams:
+            expected = sum((zi * inner_product(r, Weight.fundamental(r.rank, i + 1), lam) / r.d[i]
+                            for i, zi in enumerate(z.rep)), Fraction(0))
+            assert cartan.coweight_pairing(r, z, lam) == expected == cartan.coweight_pairing(scaled, z, lam)
+
+
 def test_enumerate_dominant_examples():
     a1 = R("A1")
     assert enumerate_dominant(a1, 2) == [Weight.of([0]), Weight.of([1]), Weight.of([2])]

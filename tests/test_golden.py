@@ -172,6 +172,10 @@ CASES = {
                                           "--radius", "2"], {ROW_CAP_ENV: "-1"}),
     "reject_fodc_negative_index_cap": (["fodc", "--type", "A2", "--max-height", "1",
                                         "--index-cap", "-3"], {}),
+    # rejections: every q formula takes 0 < q < 1; q = 1 is the classical limit, which `limit` reports
+    "reject_spectrum_q_one": (["spectrum", "--type", "A1", *A1_TERM, "--q", "1", "--radius", "2"], {}),
+    "reject_heat_q_one": (["heat", "--type", "A1", *A1_TERM, "--q", "1", "--radius", "2",
+                           "--t-grid", "1"], {}),
     # rejections: float overflow and non-finite results
     "reject_spectrum_coefficient_overflow": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e400",
                                               "--q", "0.5", "--radius", "2"], {}),

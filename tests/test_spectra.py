@@ -15,10 +15,17 @@ from qlaplacian.cartan import (
     parse_type_label,
 )
 from qlaplacian.errors import InvariantError, ResourceCapError
+from qlaplacian.heat import (
+    BlockCoefficients,
+    apply_heat,
+    heat_coefficient,
+    heat_trace,
+    heat_trace_report,
+    markov_verdict,
+)
 from qlaplacian.spectra import (
     GeneralFunctionalSpec,
     LaplacianSpec,
-    QParam,
     casimir_eigenvalue,
     classical_laplacian_eigenvalue,
     dynkin_index,
@@ -57,9 +64,47 @@ def test_q_number_examples():
     with pytest.raises(InvariantError):
         q_number(2, 1.0)
     with pytest.raises(InvariantError):
-        QParam(0.0)
+        q_number(2, 0.0)
     with pytest.raises(InvariantError):
-        QParam(1.5)
+        q_number(2, 1.5)
+
+
+A1_SPEC = LaplacianSpec.of([(W1, 1)])
+EMPTY_SPEC = LaplacianSpec(())
+A1_BLOCKS = BlockCoefficients.of(A1, {(1,): [[1, 0], [0, 1]]})
+# every public q function, called with valid arguments apart from q; the empty spec and the
+# empty block list evaluate no q formula, so only the q check itself can reject them
+Q_CALLS = {
+    "q_number": lambda q: q_number(2, q),
+    "casimir_eigenvalue": lambda q: casimir_eigenvalue(A1, W1, W1, q),
+    "q_laplacian_eigenvalue": lambda q: q_laplacian_eigenvalue(A1, A1_SPEC, W1, q),
+    "q_laplacian_eigenvalue_empty_spec": lambda q: q_laplacian_eigenvalue(A1, EMPTY_SPEC, W1, q),
+    "general_functional_eigenvalue": lambda q: general_functional_eigenvalue(
+        A1, GeneralFunctionalSpec.of([(center_reduce(A1, [1]), W1, 1)]), W1, q),
+    "general_functional_eigenvalue_empty_spec": lambda q: general_functional_eigenvalue(
+        A1, GeneralFunctionalSpec(()), W1, q),
+    "lower_bound": lambda q: lower_bound(A1, A1_SPEC, q),
+    "lower_bound_empty_spec": lambda q: lower_bound(A1, EMPTY_SPEC, q),
+    "qms_witness": lambda q: qms_witness(A1, W1, q),
+    "spectrum_scan": lambda q: spectrum_scan(A1, A1_SPEC, q, 2),
+    "spectrum_scan_empty_spec": lambda q: spectrum_scan(A1, EMPTY_SPEC, q, 2),
+    "nonnegativity_scan": lambda q: nonnegativity_scan(A1, A1_SPEC, q, 2),
+    "heat_coefficient": lambda q: heat_coefficient(A1, A1_SPEC, W1, q, 1.0),
+    "heat_trace": lambda q: heat_trace(A1, A1_SPEC, q, 1.0, 2),
+    "heat_trace_report": lambda q: heat_trace_report(A1, A1_SPEC, q, [1.0], 2),
+    "apply_heat": lambda q: apply_heat(A1, A1_SPEC, A1_BLOCKS, q, 1.0),
+    "apply_heat_empty_blocks": lambda q: apply_heat(A1, A1_SPEC, BlockCoefficients(()), q, 1.0),
+    "markov_verdict": lambda q: markov_verdict(A1, A1_SPEC, q),
+    "markov_verdict_empty_spec": lambda q: markov_verdict(A1, EMPTY_SPEC, q),
+}
+
+
+@pytest.mark.parametrize("q", [0.0, -0.5, 1.0, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(Q_CALLS))
+def test_every_q_function_takes_only_0_lt_q_lt_1(name, q):
+    Q_CALLS[name](0.5)
+    with pytest.raises(InvariantError, match="0 < q < 1"):
+        Q_CALLS[name](q)
 
 
 def test_casimir_examples():
