@@ -63,11 +63,22 @@ def parse_type_label(label: str) -> tuple[SimpleType, ...]:
     """Parse a product label like "A2", "A1xG2" or "a2xg2" into simple factors.
 
     A label outside the grammar raises `LabelError`; a family/rank pair the
-    classification excludes (C2, E9) raises a plain `InvariantError`.
+    classification excludes (C2, E9) raises a plain `InvariantError`; a rank with more
+    digits than an `int` may be read from (4300 by default) is past the build cap and
+    raises `ResourceCapError`.
     """
     if not _LABEL_RE.fullmatch(label):
         raise LabelError(f"malformed type label {label!r}; expected e.g. A2 or A1xG2")
-    return tuple(SimpleType(piece[0].upper(), int(piece[1:])) for piece in label.split("x"))
+    factors = []
+    for piece in label.split("x"):
+        digits = piece[1:].lstrip("0") or "0"
+        try:
+            rank = int(digits)
+        except ValueError:
+            raise ResourceCapError(f"a factor rank of {len(digits)} digits exceeds the build cap of rank "
+                                   f"{MAX_BUILD_RANK}") from None
+        factors.append(SimpleType(piece[0].upper(), rank))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)
@@ -124,10 +135,6 @@ class Weight:
 
     def serialize(self) -> str:
         return ",".join(str(a) for a in self.coords)
-
-    @staticmethod
-    def parse(text: str) -> "Weight":
-        return Weight.of(text.split(","))
 
     def __repr__(self):
         return f"Weight({self.serialize()})"
@@ -218,63 +225,6 @@ class RootSystem:
         return "x".join(str(f) for f in self.factors)
 
 
-# ---------------------------------------------------------------------------
-# Cartan matrices of the simple types (short roots normalized to length^2 = 2)
-# ---------------------------------------------------------------------------
-
-
-def _chain_edges(rank: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(rank - 1)]
-
-
-def _simple_cartan(t: SimpleType) -> tuple[list[list[int]], list[int]]:
-    """Return (cartan matrix, symmetrizers d) for one simple factor, 0-based."""
-    n = t.rank
-    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i, j, aij, aji):
-        a[i][j] = aij
-        a[j][i] = aji
-
-    if t.family == "A":
-        d = [1] * n
-        for i, j in _chain_edges(n):
-            bond(i, j, -1, -1)
-    elif t.family == "B":
-        # a_1..a_{n-1} long (d=2), a_n short (d=1)
-        d = [2] * (n - 1) + [1]
-        for i, j in _chain_edges(n - 1):
-            bond(i, j, -1, -1)
-        bond(n - 2, n - 1, -1, -2)
-    elif t.family == "C":
-        # a_1..a_{n-1} short (d=1), a_n long (d=2)
-        d = [1] * (n - 1) + [2]
-        for i, j in _chain_edges(n - 1):
-            bond(i, j, -1, -1)
-        bond(n - 2, n - 1, -2, -1)
-    elif t.family == "D":
-        d = [1] * n
-        for i, j in _chain_edges(n - 1):
-            bond(i, j, -1, -1)
-        bond(n - 3, n - 1, -1, -1)
-    elif t.family == "E":
-        d = [1] * n
-        edges = [(1, 3), (3, 4), (4, 5), (2, 4)] + [(k, k + 1) for k in range(5, n)]
-        for i, j in edges:
-            bond(i - 1, j - 1, -1, -1)
-    elif t.family == "F":
-        # a_1, a_2 long (d=2); a_3, a_4 short (d=1)
-        d = [2, 2, 1, 1]
-        bond(0, 1, -1, -1)
-        bond(1, 2, -1, -2)
-        bond(2, 3, -1, -1)
-    else:  # G
-        # a_1 short (d=1), a_2 long (d=3)
-        d = [1, 3]
-        bond(0, 1, -3, -1)
-    return a, d
-
-
 def _det_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
     """det(M) and adj(M) of an integer matrix by fraction-free Gauss-Jordan (Bareiss 1968).
 
@@ -294,34 +244,50 @@ def _det_adjugate(matrix: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]
     return det, [line[n:] for line in aug]
 
 
-def _plate(t: SimpleType) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+def _plate(t: SimpleType) -> tuple[list[list[int]], list[int], tuple[int, ...], tuple[int, ...],
+                                   tuple[int, ...], int]:
     """Bourbaki's tables for one simple factor (Lie groups and Lie algebras, ch. VI, plates I-IX).
 
-    Returns the center P-dual/Q-dual as cyclic orders, the permutation j -> perm[j-1]
-    by which -w0 acts on the fundamental weights (1-based), the highest root in
-    fundamental-weight coordinates, and the number of positive roots, all in
-    this module's numbering, which is Bourbaki's.
+    Returns the Cartan matrix and the symmetrizers d (short roots have d = 1), the
+    center P-dual/Q-dual as cyclic orders, the permutation j -> perm[j-1] by which -w0
+    acts on the fundamental weights (1-based), the highest root in fundamental-weight
+    coordinates, and the number of positive roots, all in this module's numbering,
+    which is Bourbaki's.  The Dynkin diagram is data: bonds (i, j, a_ij, a_ji), 0-based,
+    first a chain of simple bonds a_k - a_(k+1) for lo <= k < hi, then the family's
+    special bonds, which replace a chain bond on the same pair.
     """
     n = t.rank
-    perm = list(range(1, n + 1))
+    perm, d = list(range(1, n + 1)), [1] * n
+    lo, hi, special = 0, n - 1, []  # by default one chain through every node
     if t.family == "A":
         center, top, count = (n + 1,), ({1: 1, n: 1} if n > 1 else {1: 2}), n * (n + 1) // 2
         perm.reverse()
-    elif t.family == "B":
-        center, top, count = (2,), {2: 2 if n == 2 else 1}, n * n
-    elif t.family == "C":
-        center, top, count = (2,), {1: 2}, n * n
-    elif t.family == "D":
-        center, top, count = ((4,) if n % 2 else (2, 2)), {2: 1}, n * (n - 1)
+    elif t.family == "B":  # a_1..a_{n-1} long (d=2), a_n short
+        center, top, count, d = (2,), {2: 2 if n == 2 else 1}, n * n, [2] * (n - 1) + [1]
+        special = [(n - 2, n - 1, -1, -2)]
+    elif t.family == "C":  # a_1..a_{n-1} short, a_n long (d=2)
+        center, top, count, d = (2,), {1: 2}, n * n, [1] * (n - 1) + [2]
+        special = [(n - 2, n - 1, -2, -1)]
+    elif t.family == "D":  # the chain stops at a_{n-1}; a_n forks off a_{n-2}
+        center, top, count, hi = ((4,) if n % 2 else (2, 2)), {2: 1}, n * (n - 1), n - 2
+        special = [(n - 3, n - 1, -1, -1)]
         if n % 2:
             perm[-2:] = n, n - 1
-    elif t.family == "E":
+    elif t.family == "E":  # the chain runs a_3 - ... - a_n; a_1 joins a_3 and a_2 joins a_4
         center, top, count = {6: ((3,), {2: 1}, 36), 7: ((2,), {1: 1}, 63), 8: ((), {8: 1}, 120)}[n]
+        lo, special = 2, [(0, 2, -1, -1), (1, 3, -1, -1)]
         if n == 6:
             perm = [6, 2, 5, 4, 3, 1]
-    else:  # F4 and G2
-        center, top, count = ((), {1: 1}, 24) if t.family == "F" else ((), {2: 1}, 6)
-    return center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
+    elif t.family == "F":  # a_1, a_2 long (d=2); a_3, a_4 short
+        center, top, count, d = (), {1: 1}, 24, [2, 2, 1, 1]
+        special = [(1, 2, -1, -2)]
+    else:  # G: a_1 short, a_2 long (d=3)
+        center, top, count, d = (), {2: 1}, 6, [1, 3]
+        special = [(0, 1, -3, -1)]
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, aij, aji in [(k, k + 1, -1, -1) for k in range(lo, hi)] + special:
+        a[i][j], a[j][i] = aij, aji
+    return a, d, center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
 
 
 # The build costs one fraction-free elimination per simple factor (rank^3 integer steps) and
@@ -349,14 +315,17 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     if scale <= 0:
         raise InvariantError("the global form scale must be a positive rational")
 
-    plates = [_plate(f) for f in parsed]
+    # the rank first, from the labels alone: a table costs O(rank), and the sum may have
+    # more digits than an int may print
     n = sum(f.rank for f in parsed)
+    if n > MAX_BUILD_RANK:
+        raise ResourceCapError(f"the rank, summed over the factors, exceeds the build cap of rank "
+                               f"{MAX_BUILD_RANK}")
+    plates = [_plate(f) for f in parsed]
     count = sum(roots for *_, roots in plates)
-    if n > MAX_BUILD_RANK or count > MAX_BUILD_ROOTS:
-        raise ResourceCapError(
-            f"a root system of rank {n} with {count} positive roots exceeds the build cap "
-            f"of rank {MAX_BUILD_RANK} and {MAX_BUILD_ROOTS} positive roots"
-        )
+    if count > MAX_BUILD_ROOTS:
+        raise ResourceCapError(f"a root system of rank {n} with {count} positive roots exceeds "
+                               f"the build cap of {MAX_BUILD_ROOTS} positive roots")
 
     # A product is a direct sum: each factor places its Cartan block and its Gram block
     # scale D_f M_f^{-1} D_f, M_f = D_f A_f.  With scale = s/t that is s D_f adj(M_f) D_f
@@ -364,8 +333,7 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     s, t = scale.numerator, scale.denominator
     cartan, rows, d0, perm, highest = [], [], [], [], []
     lo = 0
-    for f, (_, fperm, top, _) in zip(parsed, plates):
-        block, dblock = _simple_cartan(f)
+    for f, (block, dblock, _, fperm, top, _) in zip(parsed, plates):
         det, adj = _det_adjugate([[di * a for a in line] for di, line in zip(dblock, block)])
         num = [[s * di * a * dj for a, dj in zip(line, dblock)] for di, line in zip(dblock, adj)]
         g = math.gcd(t * det, *itertools.chain(*num))
@@ -525,7 +493,7 @@ def center_group(R: RootSystem) -> CenterGroup:
     the gcd down, since Z_a x Z_b = Z_gcd(a,b) x Z_lcm(a,b).
     """
     chain: list[int] = []
-    for m in [m for f in R.factors for m in _plate(f)[0]]:
+    for m in [m for f in R.factors for m in _plate(f)[2]]:
         for i in reversed(range(len(chain))):
             chain[i], m = math.lcm(chain[i], m), math.gcd(chain[i], m)
         if m > 1:

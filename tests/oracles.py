@@ -40,7 +40,6 @@ from qlaplacian.cartan import (
     RootSystem,
     Weight,
     _plate,
-    _simple_cartan,
     center_negate,
     center_reduce,
     inner_product,
@@ -141,10 +140,10 @@ def reference_root_system(labels, scale=1) -> RootSystem:
     """The whole-matrix build: invert the product's symmetrized Cartan matrix in `Fraction`s,
     zero blocks included, and make each positive root by replaying the longest-element word's prefix.
 
-    It reads the per-factor tables (`_simple_cartan`, `_plate`) that the package reads, and
-    nothing of the package's build arithmetic; what it checks is how the package assembles
-    those tables: each factor's Gram block from its integer determinant and adjugate, and the
-    roots from carried prefix images.
+    It reads the per-factor table (`_plate`) that the package reads, and nothing of the
+    package's build arithmetic; what it checks is how the package assembles those tables:
+    each factor's Gram block from its integer determinant and adjugate, and the roots from
+    carried prefix images.
     """
     parsed = tuple(f for label in labels for f in parse_type_label(label))
     scale = Fraction(scale)
@@ -153,8 +152,7 @@ def reference_root_system(labels, scale=1) -> RootSystem:
     d0, perm, highest = [], [], []
     lo = 0
     for f in parsed:
-        block, dblock = _simple_cartan(f)
-        _, fperm, top, _ = _plate(f)
+        block, dblock, _, fperm, top, _ = _plate(f)
         for i in range(f.rank):
             for j in range(f.rank):
                 cartan[lo + i][lo + j] = block[i][j]

@@ -30,7 +30,11 @@ TYPES = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A1xA1": 2, "A1xG2": 3}
 # weights draws coordinates up to 2, and F4 (2,2,2,2) alone has 219,529 weights (seconds
 # to build), so the weights labels stop at A4 and D4
 WEIGHT_TYPES = {**TYPES, "A3": 3, "B3": 3, "C3": 3, "A4": 4, "D4": 4}
-CENTER_TYPES = {**WEIGHT_TYPES, "D5": 5, "E6": 6, "E7": 7, "E8": 8, "F4": 4, "C2": 2, "Q7": 7, "E9": 9}
+# ranks past the build cap at any length: past a C ssize_t, past the digits an int may be read
+# from, and eleven factors whose ranks add up past the digits an int may print
+CENTER_TYPES = {**WEIGHT_TYPES, "D5": 5, "E6": 6, "E7": 7, "E8": 8, "F4": 4, "C2": 2, "Q7": 7, "E9": 9,
+                "A10000000": 10**7, "A" + "9" * 4000: 10**4000 - 1, "A" + "9" * 5000: 10**5000 - 1,
+                "x".join(["A" + "9" * 4299] * 11): 11 * (10**4299 - 1)}
 
 Q_TEXTS = ["0.5", "0.37", "0.999", "0.9999999999999999", "1", "1e-12", "1e-300", "5e-324",
            "0", "-0.5", "1.5", "nan", "inf", "abc"]

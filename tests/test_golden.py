@@ -35,6 +35,11 @@ G2_TERM = ["--term", "mu=0,1:a=3/2"]
 EIGHT_TIMES = "0.001,0.01,0.05,0.1,0.5,1,2,10"
 A1_POWER_40 = "x".join(["A1"] * 40)
 A1_POWER_300 = "x".join(["A1"] * 300)
+# ranks past the build cap at any length: 5000 digits is past the 4300 digits an int may be read
+# from, 4000 digits past a C ssize_t, and eleven factors of 4299 digits add up past what may print
+RANK_5000_DIGITS = "A" + "9" * 5000
+RANK_4000_DIGITS = "A" + "9" * 4000
+RANK_SUM_4301_DIGITS = "x".join(["A" + "9" * 4299] * 11)
 # every coordinate 10^20: sum of dim V(mu)^2 has about 4800 digits, past Python's int-to-str limit
 E8_HUGE_MU = ",".join([str(10**20)] * 8)
 # coefficients 1/(10^999 + k), each within the parse limit; a classical value sums them over a
@@ -165,6 +170,9 @@ CASES = {
     "reject_build_a160": (["center", "--type", "A160"], {}),
     "reject_build_d120": (["center", "--type", "D120"], {}),
     "reject_build_a1_power_300": (["center", "--type", A1_POWER_300], {}),
+    "reject_build_rank_5000_digits": (["center", "--type", RANK_5000_DIGITS], {}),
+    "reject_build_rank_4000_digits": (["center", "--type", RANK_4000_DIGITS], {}),
+    "reject_build_rank_sum_4301_digits": (["center", "--type", RANK_SUM_4301_DIGITS], {}),
     # rejections: negative caps are usage errors (0 stays a valid cap)
     "reject_spectrum_negative_row_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
                                           "--radius", "2", "--row-cap", "-1"], {}),
