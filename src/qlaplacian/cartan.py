@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvariantError, LabelError, ResourceCapError, UsageError
 
@@ -419,8 +419,7 @@ def minus_w0(R: RootSystem, x: Weight) -> Weight:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CenterGroup:
+class CenterGroup(NamedTuple):
     """The finite abelian group P-dual/Q-dual with canonical coset reps."""
 
     invariant_factors: tuple[int, ...]
@@ -484,7 +483,6 @@ def center_order(R: RootSystem) -> int:
     return math.prod(basis[i][i] for i in range(R.rank))
 
 
-@lru_cache(maxsize=None)
 def center_group(R: RootSystem) -> CenterGroup:
     """Invariant factors and canonical representatives of P-dual/Q-dual.
 

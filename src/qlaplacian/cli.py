@@ -88,7 +88,10 @@ def _parse_coeff(text: str):
         if not cmath.isfinite(value):
             raise UsageError(f"coefficient {text!r} is not finite")
         return value
-    return _parse_rational(text, "coefficient")
+    value = _parse_rational(text, "coefficient")
+    if value and not float(value):
+        raise InvariantError(f"float underflow: coefficient {text!r} is nonzero but its float is 0")
+    return value
 
 
 def _parse_int_vector(text: str, what: str, rank: int) -> tuple[int, ...]:
@@ -154,7 +157,7 @@ def _general_spec(R: RootSystem, terms: list[str]) -> GeneralFunctionalSpec:
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise InvariantError(f"the result {x} is not finite")
-    return format(float(x), ".12g")
+    return format(float(x) + 0.0, ".12g")  # + 0.0 turns -0.0 into 0.0
 
 
 def _fmt_exact(x: int | Fraction) -> str:

@@ -11,7 +11,6 @@ self-adjoint, Hermitian, or q-deformed Laplacians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cartan import (
@@ -82,8 +81,7 @@ def admits_star_structure(R: RootSystem, pairs: tuple[Pair, ...]) -> bool:
     return all(full & need == need for need in _pair_tables(R, pairs)[1])
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
+class FunctionalReport(NamedTuple):
     self_adjoint: bool
     hermitian: bool
     q_laplacian: bool

@@ -8,9 +8,8 @@ as t grows, because the eigenvalues diverge with (lam, lam).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cartan import RootSystem, Weight, graded_key, untouched_factors
 from .errors import InvariantError
@@ -26,8 +25,7 @@ from .weights import dim_irrep
 Matrix = tuple[tuple[complex, ...], ...]
 
 
-@dataclass(frozen=True)
-class BlockCoefficients:
+class BlockCoefficients(NamedTuple):
     """Finitely many Peter-Weyl blocks: (weight, n_lam x n_lam matrix) pairs."""
 
     blocks: tuple[tuple[Weight, Matrix], ...]
@@ -99,8 +97,7 @@ def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float]
              n_max ** 2 * math.exp(-t * c_min)) for t in ts]
 
 
-@dataclass(frozen=True)
-class MarkovVerdict:
+class MarkovVerdict(NamedTuple):
     """Whether the semigroup is quantum Markov, with per-term witnesses."""
 
     quantum_markov: bool

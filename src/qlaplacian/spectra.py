@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from typing import NamedTuple
 
 from .cartan import (
     CenterElement,
@@ -109,8 +110,7 @@ class GeneralFunctionalSpec:
             for z, mu, a in triples))
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     """One Peter-Weyl block: the weight, its block dimension, the eigenvalue."""
 
     lam: Weight
@@ -174,23 +174,17 @@ def general_functional_eigenvalue(R: RootSystem, spec: GeneralFunctionalSpec, la
     return total
 
 
-def dynkin_index(R: RootSystem, mu: Weight, theta: Weight | None = None) -> Fraction:
-    """The trace-form ratio b_mu = sum_e mult(e) (e, t)^2 / (t, t), exact.
+def dynkin_index(R: RootSystem, mu: Weight) -> Fraction:
+    """The trace-form ratio b_mu = sum_e mult(e) (e, t)^2 / (t, t), exact, the same for every t != 0.
 
-    Only meaningful for a single simple factor (compute per factor for
-    products); independence of the test weight t is a checked property, not
-    an assumption.  t must be dominant integral: the weight multiset is
-    Weyl-invariant, so any integral t has the index of its dominant conjugate.
+    Only meaningful for a single simple factor (compute per factor for products).  The trace
+    of the Casimir element on V(mu) gives b_mu = dim V(mu) (mu, mu + 2 rho) / dim g (Humphreys
+    1972, 6.2 and 22.1), so no weight system is built.
     """
     if len(R.factors) != 1:
         raise InvariantError("dynkin_index needs a simple root system; handle products per factor")
-    if theta is None:
-        theta = Weight.fundamental(R.rank, 1)
-    if theta.is_zero:
-        raise InvariantError("the test weight must be nonzero")
-    # D (theta, e) = D (theta + r, e) - D (r, e)
-    total = sum(mult * (x - y) ** 2 for mult, x, y in _pairings(R, mu, theta))
-    return Fraction(total, R.denominator ** 2) / inner_product(R, theta, theta)
+    dim_g = R.rank + 2 * len(R.positive_roots)
+    return dim_irrep(R, mu) * inner_product(R, mu, mu + R.weyl_vector + R.weyl_vector) / dim_g
 
 
 def killing_form_scale(R: RootSystem) -> Fraction:

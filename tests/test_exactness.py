@@ -21,7 +21,7 @@ from oracles import (
     reference_lower_bound,
     reference_q_laplacian,
 )
-from qlaplacian.cartan import Weight, build_root_system
+from qlaplacian.cartan import Weight, build_root_system, inner_product
 from qlaplacian.spectra import (
     LaplacianSpec,
     casimir_eigenvalue,
@@ -80,4 +80,29 @@ def test_integer_pairings_equal_fraction_pairings(label, scale):
     if len(R.factors) == 1:
         for mu in _mus(R.rank):
             for theta in [Weight.fundamental(R.rank, 1), *R.highest_roots, *lams[1:4]]:
-                assert dynkin_index(R, mu, theta) == reference_dynkin_index(R, mu, theta)
+                assert dynkin_index(R, mu) == reference_dynkin_index(R, mu, theta)
+
+
+# every simple label of test_cartan.ALL_LABELS, and E6-E8
+SIMPLE_LABELS = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "D5", "F4", "G2", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(3, 2), Fraction(1, 24)], ids=str)
+@pytest.mark.parametrize("label", SIMPLE_LABELS)
+def test_dynkin_index_equals_the_trace_sum(label, scale):
+    """Casimir's closed form against sum_e mult(e) (e, t)^2 / (t, t), for several test weights t."""
+    R = build_root_system([label], scale=scale)
+    smallest = min((Weight.fundamental(R.rank, j) for j in range(1, R.rank + 1)),
+                   key=lambda w: dim_irrep(R, w))
+    thetas = [Weight.fundamental(R.rank, 1), *R.highest_roots, R.weyl_vector]
+    for mu in [Weight.zero(R.rank), smallest, *R.highest_roots]:
+        for theta in thetas:
+            assert dynkin_index(R, mu) == reference_dynkin_index(R, mu, theta)
+
+
+def test_dynkin_index_builds_no_weight_system():
+    """E8 (0,...,0,1,1) has 4,096,000 dimensions, more weights than the row cap allows."""
+    R = build_root_system(["E8"])
+    mu = Weight.of([0, 0, 0, 0, 0, 0, 1, 1])
+    expected = reference_dim(R, mu) * inner_product(R, mu, mu + R.weyl_vector.scaled(2)) / 248  # dim e8
+    assert dynkin_index(R, mu) == expected == 3072000

@@ -46,6 +46,9 @@ E8_HUGE_MU = ",".join([str(10**20)] * 8)
 # denominator of about 5000 digits, past the same limit
 HUGE_DENOMINATOR_TERMS = [arg for k, mu in zip((1, 3, 7, 9, 11), ("1,0", "0,1", "1,1", "2,0", "0,2"))
                           for arg in ("--term", f"mu={mu}:a=1/{10**999 + k}")]
+# each of those coefficients is below the float range; (10^999 + k - 1)/(10^999 + k) is not
+NEAR_ONE_TERMS = [arg for k, mu in zip((1, 3, 7, 9, 11), ("1,0", "0,1", "1,1", "2,0", "0,2"))
+                  for arg in ("--term", f"mu={mu}:a={10**999 + k - 1}/{10**999 + k}")]
 
 # name -> (argv, environment overrides)
 CASES = {
@@ -63,6 +66,9 @@ CASES = {
                              "--radius", "3", "--row-cap", "100"], {}),
     "spectrum_env_cap_ok": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "4"],
                             {ROW_CAP_ENV: "50"}),
+    # a term at mu = 0 has eigenvalue 0 everywhere: lower_bound is 0, not -0
+    "spectrum_a1_zero_term": (["spectrum", "--type", "A1", "--term", "mu=0:a=1", "--q", "0.5",
+                               "--radius", "2"], {}),
     # limit
     "limit_a1": (["limit", "--type", "A1", *A1_TERM, "--radius", "2"], {}),
     "limit_a2": (["limit", "--type", "A2", *A2_TERMS, "--radius", "4"], {}),
@@ -192,6 +198,14 @@ CASES = {
     "reject_witness_tiny_q": (["witness", "--type", "A1", "--mu", "1", "--q", "1e-300"], {}),
     "reject_spectrum_infinite_eigenvalue": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e308",
                                              "--q", "0.5", "--radius", "20"], {}),
+    # rejections: a nonzero coefficient whose float is 0 (float underflow)
+    "reject_spectrum_coefficient_underflow": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e-400",
+                                               "--q", "0.5", "--radius", "2"], {}),
+    "reject_limit_coefficient_underflow": (["limit", "--type", "A1", "--term", "mu=1:a=1e-400",
+                                            "--radius", "2"], {}),
+    "reject_heat_coefficient_underflow": (["heat", "--type", "A1", "--term", "mu=1:a=1e-400", "--q", "0.5",
+                                           "--radius", "2", "--t-grid", "1"], {}),
+    "reject_fodc_coefficient_underflow": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1e-400"], {}),
     # rejections: non-finite complex coefficients
     "reject_fodc_coefficient_nanj": (["fodc", "--type", "A2", "--term", "mu=1,0:a=nanj"], {}),
     "reject_fodc_coefficient_1e400j": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1e400j"], {}),
@@ -202,9 +216,12 @@ CASES = {
                                      "--radius", "2"], {}),
     # rejections: an integer result too long to print (fodc --term builds no weight system to cap)
     "reject_fodc_dimension_digits": (["fodc", "--type", "E8", "--term", f"mu={E8_HUGE_MU}:a=1"], {}),
-    # rejections: an exact rational result too long to print
+    # rejections: an exact rational result too long to print (coefficients 1/(10^999 + k) are refused first,
+    # as a float underflow; the near-one coefficients reach the print)
     "reject_limit_classical_digits": (["limit", "--type", "A2", *HUGE_DENOMINATOR_TERMS,
                                        "--radius", "2"], {}),
+    "reject_limit_classical_digits_near_one": (["limit", "--type", "A2", *NEAR_ONE_TERMS,
+                                                "--radius", "2"], {}),
     # rejections: heat times
     "reject_heat_t_negative": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "2",
                                 "--t-grid", "-1"], {}),
