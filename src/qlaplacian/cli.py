@@ -80,6 +80,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 
 def _parse_coeff(text: str):
+    value, parts = None, [text]
     if "j" in text or "J" in text:
         try:
             value = complex(text)
@@ -87,11 +88,14 @@ def _parse_coeff(text: str):
             raise UsageError(f"cannot parse coefficient {text!r}") from exc
         if not cmath.isfinite(value):
             raise UsageError(f"coefficient {text!r} is not finite")
-        return value
-    value = _parse_rational(text, "coefficient")
-    if value and not float(value):
-        raise InvariantError(f"float underflow: coefficient {text!r} is nonzero but its float is 0")
-    return value
+        # each part read exactly, split at the last sign that is not an exponent's: 1+1e-400j
+        body = text.strip().removeprefix("(").removesuffix(")").strip()[:-1]
+        cut = max([k for k, c in enumerate(body) if c in "+-" and (k == 0 or body[k - 1] not in "eE")], default=0)
+        parts = [body[:cut] or "0", body[cut:] + "1" if body[cut:] in ("", "+", "-") else body[cut:]]
+    exact = [_parse_rational(part, "coefficient") for part in parts]
+    if any(x and not float(x) for x in exact):
+        raise InvariantError(f"float underflow: coefficient {text!r} has a nonzero part whose float is 0")
+    return exact[0] if value is None else value
 
 
 def _parse_int_vector(text: str, what: str, rank: int) -> tuple[int, ...]:
@@ -168,14 +172,29 @@ def _fmt_exact(x: int | Fraction) -> str:
         raise ResourceCapError(f"an exact result of {bits} bits is too long to print") from exc
 
 
+class _Text(str):
+    """Text already rendered as JSON, which `_json_value` writes verbatim."""
+
+
 def _json_value(value, memo: dict) -> str:
-    """JSON text of a report value, dispatched on its exact type; `memo` holds each Pair's text."""
+    """JSON text of a report value, dispatched on its exact type; `memo` holds Pair texts and `"key":` texts."""
     kind = type(value)
     if kind is dict:
-        inner = ",".join(f"{_json_value(k, memo)}:{_json_value(v, memo)}" for k, v in value.items())
-        return "{" + inner + "}"
+        parts = []
+        for k, v in value.items():
+            key = memo.get(k)
+            if key is None:
+                key = memo[k] = _json_value(k, memo) + ":"
+            parts.append(key + _json_value(v, memo))
+        return "{" + ",".join(parts) + "}"
     if kind is list or kind is tuple:
         return "[" + ",".join([_json_value(v, memo) for v in value]) + "]"
+    if kind is int:
+        return _fmt_exact(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is _Text:
+        return value
     if kind is Pair:
         text = memo.get(value)
         if text is None:
@@ -183,10 +202,8 @@ def _json_value(value, memo: dict) -> str:
         return text
     if kind is str:
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if kind is bool or value is None:
-        return {True: "true", False: "false", None: "null"}[value]
-    if kind is int:
-        return _fmt_exact(value)
+    if value is None:
+        return "null"
     if kind is float:
         return _fmt_float(value)
     if kind is Fraction:
@@ -350,12 +367,20 @@ def _cmd_fodc(args, R: RootSystem) -> dict:
     if args.max_height is None:
         raise UsageError("fodc needs either --term (validate) or --max-height (enumerate)")
     calculi = enumerate_fodc_indices(R, args.max_height, args.include_center, max_indices=cap)
+    # the pair-list text by the enumeration's recurrence: calculus m | 1 << k lists the pairs of
+    # calculus m, then pair k, the lone pair of calculus 1 << k (`_render` turns CSV's "," into ";")
+    as_json = args.format == "json"
+    texts = [""]
+    while len(texts) < len(calculi):
+        pair = calculi[len(texts)][0][0]
+        cell = _json_value(pair, {}) if as_json else _csv_cell(pair)
+        texts += [text + "," + cell if text else cell for text in texts]
     return {
         "max_height": args.max_height,
         "include_center": args.include_center,
         "count": len(calculi),
-        "rows": [{"pairs": pairs, "dimension": dimension, "star_admissible": star_admissible}
-                 for pairs, dimension, star_admissible in calculi],
+        "rows": [{"pairs": _Text(f"[{text}]") if as_json else text, "dimension": dim, "star_admissible": star}
+                 for text, (_, dim, star) in zip(texts, calculi)],
     }
 
 

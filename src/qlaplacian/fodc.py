@@ -163,9 +163,8 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
     pool = [Pair(z, mu) for z in zetas for mu in mus]
     pool = tuple(sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key))
     sizes, needs = _pair_tables(R, pool)
-    calculi = []
-    for mask in range(1 << len(pool)):
-        chosen = [i for i in range(len(pool)) if mask >> i & 1]
-        calculi.append((tuple(pool[i] for i in chosen), sum(sizes[i] for i in chosen),
-                        all(mask & needs[i] == needs[i] for i in chosen)))
-    return tuple(calculi)
+    # calculus m | 1 << i is calculus m (m < 1 << i) extended by pair i: (pairs, dimension, needed bits)
+    calculi = [((), 0, 0)]
+    for pair, size, need in zip(pool, sizes, needs):
+        calculi += [(pairs + (pair,), dim + size, reach | need) for pairs, dim, reach in calculi]
+    return tuple((pairs, dim, reach | mask == mask) for mask, (pairs, dim, reach) in enumerate(calculi))

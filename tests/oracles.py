@@ -498,6 +498,22 @@ def reference_star_structure(R: RootSystem, idx: FodcIndex) -> StarReport:
                       matching=tuple(matching), unmatched=tuple(unmatched))
 
 
+def reference_fodc_enumeration(R: RootSystem, calculi) -> list:
+    """Each calculus by a rescan of its bitmask: (pairs, dimension, star admissible).
+
+    The pool is read from the program's singleton calculi, pair k from
+    `calculi[1 << k]`; calculus `mask` holds the pool pairs of its set bits
+    in pool order.
+    """
+    n = len(calculi).bit_length() - 1
+    pool = [calculi[1 << k][0][0] for k in range(n)]
+    result = []
+    for mask in range(1 << n):
+        idx = FodcIndex(tuple(pool[i] for i in range(n) if mask >> i & 1))
+        result.append((idx.pairs, reference_fodc_dimension(R, idx), reference_star_structure(R, idx).admissible))
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Heat-semigroup blocks as JSON
 # ---------------------------------------------------------------------------

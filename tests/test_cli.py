@@ -9,8 +9,8 @@ import pytest
 
 import qlaplacian
 from qlaplacian.cartan import Weight, build_root_system, center_reduce
-from qlaplacian.cli import _json_value, _render, main
-from qlaplacian.fodc import Pair
+from qlaplacian.cli import _json_value, _render, _Text, main
+from qlaplacian.fodc import Pair, enumerate_fodc_indices
 
 
 def run(capsys, *argv):
@@ -130,7 +130,30 @@ def test_pair_renders_like_the_dict_it_replaces():
     assert _render({"rows": [{"pairs": [pair]}]}, "csv") == "pairs\nzeta=0;2|mu=1;1\n"
 
 
-@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", range(2)])
+@pytest.mark.parametrize("label", ["A2", "A1xA1"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_fodc_pair_text_renders_like_the_pairs(capsys, label, fmt):
+    code, out, err = run(capsys, "fodc", "--type", label, "--max-height", "1", "--include-center", "--format", fmt)
+    assert (code, err) == (0, "")
+    calculi = enumerate_fodc_indices(build_root_system([label]), 1, include_center=True)
+    report = {"command": "fodc", "type": label, "max_height": 1, "include_center": True, "count": len(calculi),
+              "rows": [{"pairs": pairs, "dimension": dimension, "star_admissible": star}
+                       for pairs, dimension, star in calculi]}
+    expected = _render(report, fmt)
+    if out != expected:  # name the first differing byte: a diff of one long JSON line takes minutes
+        at = len(os.path.commonprefix([out, expected]))
+        pytest.fail(f"first difference at byte {at}: {out[at - 40:at + 40]!r} != {expected[at - 40:at + 40]!r}")
+
+
+def test_text_renders_verbatim():
+    assert _json_value({"pairs": _Text('[{"a":"\\"}]')}, {}) == '{"pairs":[{"a":"\\"}]}'
+
+
+class _OtherText(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", range(2), _OtherText("text")])
 def test_json_value_rejects_unknown_types(value):
     with pytest.raises(TypeError, match="cannot render"):
         _json_value(value, {})

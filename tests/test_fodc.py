@@ -1,8 +1,9 @@
 """Calculi and functionals, checked against the one-calculus-at-a-time reference.
 
 `tests/oracles.py` holds `FodcIndex` (a checked set of pairs),
-`reference_fodc_dimension` and `reference_star_structure` (a `StarReport`
-with the partner matching).  The examples below pin the reference, and
+`reference_fodc_dimension`, `reference_star_structure` (a `StarReport`
+with the partner matching) and `reference_fodc_enumeration` (every calculus
+of a pool by a rescan of its bitmask).  The examples below pin the reference, and
 wherever a calculus appears the program's `fodc_dimension`,
 `admits_star_structure` and `induced_class` are compared with it.
 """
@@ -11,7 +12,7 @@ import itertools
 
 import pytest
 
-from oracles import FodcIndex, reference_fodc_dimension, reference_star_structure
+from oracles import FodcIndex, reference_fodc_dimension, reference_fodc_enumeration, reference_star_structure
 from qlaplacian.cartan import (
     CenterElement,
     Weight,
@@ -261,3 +262,14 @@ def test_enumeration_annotations_and_cap():
         assert str(cap) in str(err.value)
     with pytest.raises(InvariantError):
         enumerate_fodc_indices(A2, -1, include_center=False)
+
+
+@pytest.mark.parametrize("label,height,include_center", [
+    ("A1", 6, True), ("A1xA1", 1, True), ("B2", 2, True), ("D4", 0, True), ("A2", 1, True), ("A3", 1, False)])
+def test_enumeration_matches_bitmask_rescan(label, height, include_center):
+    r = R(label)
+    calculi = enumerate_fodc_indices(r, height, include_center)
+    expected = reference_fodc_enumeration(r, calculi)
+    assert len(calculi) == len(expected)
+    mask = next((m for m, (got, want) in enumerate(zip(calculi, expected)) if got != want), None)
+    assert mask is None, (mask, calculi[mask], expected[mask])  # one calculus, not a diff of thousands

@@ -198,7 +198,7 @@ CASES = {
     "reject_witness_tiny_q": (["witness", "--type", "A1", "--mu", "1", "--q", "1e-300"], {}),
     "reject_spectrum_infinite_eigenvalue": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e308",
                                              "--q", "0.5", "--radius", "20"], {}),
-    # rejections: a nonzero coefficient whose float is 0 (float underflow)
+    # rejections: a coefficient with a nonzero real or imaginary part whose float is 0 (float underflow)
     "reject_spectrum_coefficient_underflow": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e-400",
                                                "--q", "0.5", "--radius", "2"], {}),
     "reject_limit_coefficient_underflow": (["limit", "--type", "A1", "--term", "mu=1:a=1e-400",
@@ -206,6 +206,8 @@ CASES = {
     "reject_heat_coefficient_underflow": (["heat", "--type", "A1", "--term", "mu=1:a=1e-400", "--q", "0.5",
                                            "--radius", "2", "--t-grid", "1"], {}),
     "reject_fodc_coefficient_underflow": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1e-400"], {}),
+    "reject_fodc_coefficient_underflow_imaginary": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1e-400j"], {}),
+    "reject_fodc_coefficient_underflow_complex": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1+1e-400j"], {}),
     # rejections: non-finite complex coefficients
     "reject_fodc_coefficient_nanj": (["fodc", "--type", "A2", "--term", "mu=1,0:a=nanj"], {}),
     "reject_fodc_coefficient_1e400j": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1e400j"], {}),
