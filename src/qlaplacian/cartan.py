@@ -15,10 +15,9 @@ import itertools
 import math
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvariantError, LabelError, ResourceCapError, UsageError
@@ -34,23 +33,56 @@ _RANK_CONSTRAINTS = {
 }
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class _Record:
+    """A frozen record of the fields in `__slots__`; it equals, hashes and pickles as a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__slots__)  # a tuple, but the bare value for a single field
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        if kwargs:  # keyword fields follow the positional ones, in field order
+            args += tuple(kwargs.pop(name) for name in self.__slots__[len(args):] if name in kwargs)
+        if len(args) != len(self.__slots__) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes exactly the fields {', '.join(self.__slots__)}")
+        for name, value in zip(self.__slots__, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot set or delete field {name!r} of an immutable {type(self).__name__}")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class SimpleType(_Record):
     """A simple Lie type label such as A2, D4 or G2 (non-redundant ranks only)."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        lo_hi = _RANK_CONSTRAINTS.get(self.family)
+    def __init__(self, family: str, rank: int):
+        lo_hi = _RANK_CONSTRAINTS.get(family)
         if lo_hi is None:
-            raise InvariantError(f"unknown family {self.family!r} in factor {self.family}{self.rank}")
+            raise InvariantError(f"unknown family {family!r} in factor {family}{rank}")
         lo, hi = lo_hi
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if rank < lo or (hi is not None and rank > hi):
             raise InvariantError(
-                f"invalid rank for factor {self.family}{self.rank}: "
-                f"family {self.family} requires rank in [{lo}, {hi if hi is not None else 'inf'}]"
+                f"invalid rank for factor {family}{rank}: "
+                f"family {family} requires rank in [{lo}, {hi if hi is not None else 'inf'}]"
             )
+        super().__init__(family, rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -81,14 +113,22 @@ def parse_type_label(label: str) -> tuple[SimpleType, ...]:
     return tuple(factors)
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """A vector of exact rationals in the fundamental-weight basis.
 
     `of` stores an integral coordinate as `int` and any other as `Fraction`.
     """
 
-    coords: tuple[int | Fraction, ...]
+    __slots__ = ("coords",)  # own __init__, __eq__ and __hash__: weight-system inner loops call them
+
+    def __init__(self, coords: tuple[int | Fraction, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        return self.coords == other.coords if other.__class__ is Weight else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
 
     @staticmethod
     def of(values: Iterable) -> "Weight":
@@ -153,11 +193,10 @@ def graded_key(w: Weight):
     return (w.height, w.coords)
 
 
-@dataclass(frozen=True)
-class CenterElement:
+class CenterElement(_Record):
     """Canonical representative of a coset in P-dual / Q-dual (coweight coords)."""
 
-    rep: tuple[int, ...]
+    __slots__ = ("rep",)
 
     def serialize(self) -> str:
         return ",".join(str(a) for a in self.rep)
@@ -170,30 +209,19 @@ class CenterElement:
         return f"CenterElement({self.serialize()})"
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(_Record):
     """Immutable Cartan datum for a product of simple types.
 
     cartan[i][j] = 2(a_i, a_j)/(a_i, a_i); the j-th simple root has
     fundamental-weight coordinates equal to the j-th column.  The invariant
     form is held once: with G the Gram matrix of the fundamental weights,
     so that (x, y) = x^T G y, `form` is the integer matrix D G and
-    `denominator` the least such D.  Every field is exact and hashable, and
-    all of them take part in equality.
+    `denominator` the least such D.  All twelve fields are exact and hashable and take part in
+    equality and hash, though (factors, scale) fixes the rest (an O(1) hash waits for ROADMAP item 1).
     """
 
-    factors: tuple[SimpleType, ...]
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    d: tuple[Fraction, ...]
-    positive_roots: tuple[Weight, ...]
-    w0_word: tuple[int, ...]
-    w0_perm: tuple[int, ...]
-    highest_roots: tuple[Weight, ...]
-    weyl_vector: Weight
-    scale: Fraction
-    denominator: int
-    form: tuple[tuple[int, ...], ...]
+    __slots__ = ("factors", "rank", "cartan", "d", "positive_roots", "w0_word", "w0_perm",
+                 "highest_roots", "weyl_vector", "scale", "denominator", "form")
 
     # -- small structural helpers ------------------------------------------
 

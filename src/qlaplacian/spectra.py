@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import NamedTuple
@@ -26,6 +25,7 @@ from .cartan import (
     CenterElement,
     RootSystem,
     Weight,
+    _Record,
     center_reduce,
     coweight_pairing,
     enumerate_dominant,
@@ -63,21 +63,23 @@ def _as_coefficient(a):
     return float(a)
 
 
-@dataclass(frozen=True)
-class LaplacianSpec:
-    """The data (mu_1, a_1), ..., (mu_m, a_m) with distinct mu and a_l > 0."""
+class LaplacianSpec(_Record):
+    """The data (mu_1, a_1), ..., (mu_m, a_m) with distinct mu and a_l > 0, float(a_l) != 0."""
 
-    terms: tuple[tuple[Weight, Fraction | float], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        mus = [mu for mu, _ in self.terms]
+    def __init__(self, terms: tuple[tuple[Weight, Fraction | float], ...]):
+        mus = [mu for mu, _ in terms]
         if len(set(mus)) != len(mus):
             raise InvariantError("Laplacian terms must have pairwise distinct weights")
-        for mu, a in self.terms:
+        for mu, a in terms:
             if not (mu.is_integral and mu.is_dominant):
                 raise InvariantError(f"term weight {mu.serialize()} is not dominant integral")
             if not a > 0:
                 raise InvariantError(f"term coefficient {a} is not positive")
+            if a < 1 and not float(a):
+                raise InvariantError("float underflow: a positive term coefficient has float 0")
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(pairs) -> "LaplacianSpec":
@@ -89,19 +91,19 @@ class LaplacianSpec:
         return all(isinstance(a, Fraction) for _, a in self.terms)
 
 
-@dataclass(frozen=True)
-class GeneralFunctionalSpec:
+class GeneralFunctionalSpec(_Record):
     """Terms (zeta_l, mu_l, a_l) with distinct (zeta, mu) pairs and complex a."""
 
-    terms: tuple[tuple[CenterElement, Weight, complex], ...]
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        pairs = [(z, mu) for z, mu, _ in self.terms]
+    def __init__(self, terms: tuple[tuple[CenterElement, Weight, complex], ...]):
+        pairs = [(z, mu) for z, mu, _ in terms]
         if len(set(pairs)) != len(pairs):
             raise InvariantError("functional terms must have distinct (zeta, mu) pairs")
-        for _, mu, _ in self.terms:
+        for _, mu, _ in terms:
             if not (mu.is_integral and mu.is_dominant):
                 raise InvariantError(f"term weight {mu.serialize()} is not dominant integral")
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(triples) -> "GeneralFunctionalSpec":

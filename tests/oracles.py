@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -163,20 +163,21 @@ def reference_root_system(labels, scale=1) -> RootSystem:
     minv = rational_inverse([[d0[i] * cartan[i][j] for j in range(n)] for i in range(n)])
     gram = [[scale * d0[i] * minv[i][j] * d0[j] for j in range(n)] for i in range(n)]
     denominator = math.lcm(*(g.denominator for line in gram for g in line))
-    skeleton = RootSystem(
+    fields = dict(
         factors=parsed, rank=n, cartan=tuple(tuple(line) for line in cartan),
         d=tuple(scale * Fraction(dj) for dj in d0), positive_roots=(), w0_word=(),
         w0_perm=tuple(perm), highest_roots=tuple(highest), weyl_vector=Weight((1,) * n),
         scale=scale, denominator=denominator,
         form=tuple(tuple(int(g * denominator) for g in line) for line in gram),
     )
+    skeleton = RootSystem(**fields)
     word = []
     cur = skeleton.weyl_vector
     while (j := next((k + 1 for k in range(n) if cur.coords[k] > 0), None)) is not None:
         word.append(j)
         cur = skeleton.reflect(cur, j)
     roots = tuple(apply_word(skeleton, word[:r], skeleton.simple_root(j)) for r, j in enumerate(word))
-    return replace(skeleton, positive_roots=roots, w0_word=tuple(word))
+    return RootSystem(**{**fields, "positive_roots": roots, "w0_word": tuple(word)})
 
 
 def reference_minus_w0(R: RootSystem, x: Weight) -> Weight:
