@@ -1,12 +1,12 @@
 """Exact root-system data for products of simple Lie types.
 
 Everything is stored in the fundamental-weight basis: a weight is a vector
-of rationals (c_1, ..., c_N) standing for sum_j c_j w_j, held as `int`s
-where integral, and the simple root a_j is the j-th column of the Cartan
-matrix.  The invariant bilinear form is normalized so that the short roots
-of every simple factor have squared length 2; an optional global positive
-rational scale multiplies the whole form.  It is held once, as the integer
-matrix D G over one denominator D.  No floating point enters this module.
+of integers (c_1, ..., c_N) standing for sum_j c_j w_j, and the simple root
+a_j is the j-th column of the Cartan matrix.  The invariant bilinear form is
+normalized so that the short roots of every simple factor have squared
+length 2; an optional global positive rational scale multiplies the whole
+form.  It is held once, as the integer matrix D G over one denominator D.
+No floating point enters this module.
 """
 
 from __future__ import annotations
@@ -114,14 +114,11 @@ def parse_type_label(label: str) -> tuple[SimpleType, ...]:
 
 
 class Weight(_Record):
-    """A vector of exact rationals in the fundamental-weight basis.
-
-    `of` stores an integral coordinate as `int` and any other as `Fraction`.
-    """
+    """A vector of integers in the fundamental-weight basis."""
 
     __slots__ = ("coords",)  # own __init__, __eq__ and __hash__: weight-system inner loops call them
 
-    def __init__(self, coords: tuple[int | Fraction, ...]):
+    def __init__(self, coords: tuple[int, ...]):
         object.__setattr__(self, "coords", coords)
 
     def __eq__(self, other):
@@ -132,16 +129,18 @@ class Weight(_Record):
 
     @staticmethod
     def of(values: Iterable) -> "Weight":
-        return Weight(tuple(_exact(v) for v in values))
+        """Integral rationals (2, Fraction(4, 2), "3/3", 2.0) as `int`s; any other value raises `InvariantError`."""
+        coords = []
+        for v in values:
+            v = v if type(v) is int else Fraction(v)
+            if v.denominator != 1:
+                raise InvariantError(f"weight coordinate {len(coords) + 1} is not an integer")
+            coords.append(v.numerator)
+        return Weight(tuple(coords))
 
     @staticmethod
     def zero(rank: int) -> "Weight":
         return Weight((0,) * rank)
-
-    @staticmethod
-    def fundamental(rank: int, j: int) -> "Weight":
-        """The fundamental weight w_j (1-based index)."""
-        return Weight(tuple(int(i == j - 1) for i in range(rank)))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -152,24 +151,17 @@ class Weight(_Record):
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
 
-    def scaled(self, c) -> "Weight":
-        c = Fraction(c)
-        return Weight.of(c * a for a in self.coords)
-
-    @property
-    def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.coords)
-
     @property
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
     @property
     def is_dominant(self) -> bool:
-        return all(a >= 0 for a in self.coords)
+        """Dominant integral: every coordinate an `int` >= 0, which a weight built past `of` may not be."""
+        return all(type(a) is int and a >= 0 for a in self.coords)
 
     @property
-    def height(self) -> int | Fraction:
+    def height(self) -> int:
         """Coordinate sum; the grading used for deterministic orderings."""
         return sum(self.coords)
 
@@ -178,14 +170,6 @@ class Weight(_Record):
 
     def __repr__(self):
         return f"Weight({self.serialize()})"
-
-
-def _exact(value) -> int | Fraction:
-    """An integral rational as `int`, any other as `Fraction`."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
 
 
 def graded_key(w: Weight):
@@ -216,17 +200,17 @@ class RootSystem(_Record):
     fundamental-weight coordinates equal to the j-th column.  The invariant
     form is held once: with G the Gram matrix of the fundamental weights,
     so that (x, y) = x^T G y, `form` is the integer matrix D G and
-    `denominator` the least such D.  All twelve fields are exact and hashable and take part in
+    `denominator` the least such D.  All ten fields are exact and hashable and take part in
     equality and hash, though (factors, scale) fixes the rest (an O(1) hash waits for ROADMAP item 1).
     """
 
-    __slots__ = ("factors", "rank", "cartan", "d", "positive_roots", "w0_word", "w0_perm",
-                 "highest_roots", "weyl_vector", "scale", "denominator", "form")
+    __slots__ = ("factors", "rank", "cartan", "d", "positive_roots", "w0_perm", "highest_roots",
+                 "scale", "denominator", "form")
 
     # -- small structural helpers ------------------------------------------
 
     def row(self, w: Weight) -> tuple[int, ...]:
-        """D G w, so that D (x, w) is the dot product x . row; integers when w is integral."""
+        """D G w, in integers, so that D (x, w) is the dot product x . row."""
         return tuple(sum(map(mul, line, w.coords)) for line in self.form)
 
     def simple_root(self, j: int) -> Weight:
@@ -375,14 +359,14 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     denominator = math.lcm(*(den for den, _ in rows))
     form = tuple(tuple(v * (denominator // den) for v in row) for den, row in rows)
 
-    # Longest-element word by greedy descent from rho (smallest index first), and the
-    # positive roots along it.  image[k] is the word so far applied to w_k, so the next
+    # The positive roots along a longest-element word, found by greedy descent from rho
+    # (smallest index first).  image[k] is the word so far applied to w_k, so the next
     # root, the word so far applied to a_j = sum_k a_kj w_k, is sum_k a_kj image[k];
     # appending s_j moves only w_j, to w_j - a_j, so image[j] loses that root.
     column = [[(k, line[j]) for k, line in enumerate(cartan) if line[j]] for j in range(n)]
     image = [[int(i == k) for i in range(n)] for k in range(n)]
     cur = [1] * n
-    word, roots = [], []
+    roots = []
     while (j := next((k for k in range(n) if cur[k] > 0), None)) is not None:
         c = cur[j]
         beta = [0] * n
@@ -390,7 +374,6 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
             cur[k] -= c * a
             beta = [b + a * x for b, x in zip(beta, image[k])]
         image[j] = [x - b for x, b in zip(image[j], beta)]
-        word.append(j + 1)
         roots.append(Weight(tuple(beta)))
     if len(set(roots)) != len(roots):
         raise InvariantError("longest-element word failed to enumerate distinct positive roots")
@@ -398,8 +381,7 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
     return RootSystem(
         factors=parsed, rank=n, cartan=tuple(tuple(line) for line in cartan),
         d=tuple(scale * Fraction(dj) for dj in d0), positive_roots=tuple(roots),
-        w0_word=tuple(word), w0_perm=tuple(perm), highest_roots=tuple(highest),
-        weyl_vector=Weight((1,) * n), scale=scale, denominator=denominator, form=form,
+        w0_perm=tuple(perm), highest_roots=tuple(highest), scale=scale, denominator=denominator, form=form,
     )
 
 
@@ -411,7 +393,7 @@ def _check_length(R: RootSystem, w: Weight):
 def check_dominant_integral(R: RootSystem, w: Weight):
     """Reject a weight of the wrong length or one that is not dominant integral."""
     _check_length(R, w)
-    if not (w.is_integral and w.is_dominant):
+    if not w.is_dominant:
         raise InvariantError(f"weight {w.serialize()} is not dominant integral")
 
 
@@ -585,7 +567,7 @@ def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],
 
     def extend(k: int):
         if k == R.rank:
-            found.append(Weight.of(coords))
+            found.append(Weight(tuple(coords)))
             if max_rows is not None and len(found) > max_rows:
                 raise ResourceCapError(
                     f"dominant-weight scan exceeded the row cap of {max_rows}"

@@ -177,7 +177,7 @@ class _Text(str):
 
 
 def _json_value(value, memo: dict) -> str:
-    """JSON text of a report value, dispatched on its exact type; `memo` holds Pair texts and `"key":` texts."""
+    """JSON text of a report value, dispatched on its exact type; `memo` holds `"key":` texts."""
     kind = type(value)
     if kind is dict:
         parts = []
@@ -196,10 +196,7 @@ def _json_value(value, memo: dict) -> str:
     if kind is _Text:
         return value
     if kind is Pair:
-        text = memo.get(value)
-        if text is None:
-            text = memo[value] = _json_value({"zeta": value.zeta, "mu": value.mu}, memo)
-        return text
+        return _json_value({"zeta": value.zeta, "mu": value.mu}, memo)
     if kind is str:
         return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if value is None:

@@ -72,11 +72,11 @@ class LaplacianSpec(_Record):
         mus = [mu for mu, _ in terms]
         if len(set(mus)) != len(mus):
             raise InvariantError("Laplacian terms must have pairwise distinct weights")
-        for mu, a in terms:
-            if not (mu.is_integral and mu.is_dominant):
+        for mu, a in terms:  # the refusals name a term by its weight: a coefficient's digits may not print
+            if not mu.is_dominant:
                 raise InvariantError(f"term weight {mu.serialize()} is not dominant integral")
             if not a > 0:
-                raise InvariantError(f"term coefficient {a} is not positive")
+                raise InvariantError(f"the coefficient of term {mu.serialize()} is not positive")
             if a < 1 and not float(a):
                 raise InvariantError("float underflow: a positive term coefficient has float 0")
         object.__setattr__(self, "terms", terms)
@@ -101,7 +101,7 @@ class GeneralFunctionalSpec(_Record):
         if len(set(pairs)) != len(pairs):
             raise InvariantError("functional terms must have distinct (zeta, mu) pairs")
         for _, mu, _ in terms:
-            if not (mu.is_integral and mu.is_dominant):
+            if not mu.is_dominant:
                 raise InvariantError(f"term weight {mu.serialize()} is not dominant integral")
         object.__setattr__(self, "terms", terms)
 
@@ -186,7 +186,7 @@ def dynkin_index(R: RootSystem, mu: Weight) -> Fraction:
     if len(R.factors) != 1:
         raise InvariantError("dynkin_index needs a simple root system; handle products per factor")
     dim_g = R.rank + 2 * len(R.positive_roots)
-    return dim_irrep(R, mu) * inner_product(R, mu, mu + R.weyl_vector + R.weyl_vector) / dim_g
+    return dim_irrep(R, mu) * inner_product(R, mu, Weight(tuple(c + 2 for c in mu.coords))) / dim_g  # mu + 2 rho
 
 
 def killing_form_scale(R: RootSystem) -> Fraction:

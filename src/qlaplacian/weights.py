@@ -31,16 +31,12 @@ class WeightSystem:
     `rows` holds (D G e, mult(e)) in the order of `entries`.
     """
 
-    __slots__ = ("highest", "entries", "rows", "_mult")
+    __slots__ = ("highest", "entries", "rows")
 
     def __init__(self, R: RootSystem, highest: Weight, entries):
         self.highest = highest
         self.entries = tuple(sorted(entries, key=lambda e: graded_key(e[0])))
         self.rows = tuple((R.row(w), m) for w, m in self.entries)
-        self._mult = dict(self.entries)
-
-    def multiplicity(self, w: Weight) -> int:
-        return self._mult.get(w, 0)
 
     @property
     def dimension(self) -> int:
@@ -51,13 +47,6 @@ class WeightSystem:
 
     def __len__(self):
         return len(self.entries)
-
-    def __eq__(self, other):
-        return (isinstance(other, WeightSystem)
-                and self.highest == other.highest and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.highest, self.entries))
 
     def __repr__(self):
         return f"WeightSystem(highest={self.highest!r}, size={self.dimension})"
@@ -134,7 +123,8 @@ def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
     """All weights of V(mu) with multiplicities (exact, Weyl-closed)."""
     check_dominant_integral(R, mu)
     roots = _root_table(R)
-    shifted = {nu: nu + R.weyl_vector for nu in _dominant_weights(R, mu, roots)}
+    rho = Weight((1,) * R.rank)  # the Weyl vector in the fundamental-weight basis
+    shifted = {nu: nu + rho for nu in _dominant_weights(R, mu, roots)}
     norms = {nu: sum(map(mul, s.coords, R.row(s))) for nu, s in shifted.items()}  # D (nu+rho, nu+rho)
 
     # A lookup x = nu + k a of nonzero multiplicity has its dominant

@@ -21,9 +21,11 @@ the product's symmetrized Cartan matrix (`rational_inverse`, this module's
 own) and a replay of the word prefix for each positive root, where the
 package takes an integer determinant and adjugate factor by factor and
 carries the prefix images; it imports none of the package's build
-arithmetic.  The helpers that only the tests read live here too:
-`apply_word`, `apply_w0` (by the longest-element word), `center_add`, and
-the JSON form of heat-semigroup blocks (`blocks_to_json`,
+arithmetic.  The helpers that only the tests read live here too: `rho`,
+`fundamental`, `w0_word` (the longest-element word by greedy descent from
+rho), `apply_word`, `apply_w0`, `rational_inner_product` (the form on plain
+tuples of rationals, for test points off the weight lattice), `center_add`,
+and the JSON form of heat-semigroup blocks (`blocks_to_json`,
 `blocks_from_json`).
 """
 
@@ -124,6 +126,35 @@ def root_height(R: RootSystem, beta: Weight) -> Fraction:
     return sum(_root_coefficients(R, beta))
 
 
+def rho(R: RootSystem) -> Weight:
+    """The Weyl vector: (1, ..., 1) in the fundamental-weight basis."""
+    return Weight((1,) * R.rank)
+
+
+def fundamental(rank: int, j: int) -> Weight:
+    """The fundamental weight w_j (1-based index)."""
+    return Weight(tuple(int(i == j - 1) for i in range(rank)))
+
+
+def rational_inner_product(R: RootSystem, x, y) -> Fraction:
+    """(x, y) = x^T G y for plain tuples of rational coordinates, from the Gram matrix D G over D."""
+    return Fraction(sum(a * sum(g * b for g, b in zip(line, y)) for a, line in zip(x, R.form))) / R.denominator
+
+
+def w0_word(R: RootSystem) -> tuple[int, ...]:
+    """A reduced word of the longest element, by greedy descent from rho (smallest index first).
+
+    Each letter j is a simple reflection that lowers the current image of rho; the
+    descent ends at -rho, one reflection at a time.
+    """
+    word = []
+    cur = rho(R)
+    while (j := next((k + 1 for k in range(R.rank) if cur.coords[k] > 0), None)) is not None:
+        word.append(j)
+        cur = R.reflect(cur, j)
+    return tuple(word)
+
+
 def apply_word(R: RootSystem, word, x: Weight) -> Weight:
     """Apply s_{word[0]} s_{word[1]} ... s_{word[-1]} to x (rightmost first)."""
     for j in reversed(word):
@@ -133,7 +164,7 @@ def apply_word(R: RootSystem, word, x: Weight) -> Weight:
 
 def apply_w0(R: RootSystem, x: Weight) -> Weight:
     """w0 x, by the longest-element word."""
-    return apply_word(R, R.w0_word, x)
+    return apply_word(R, w0_word(R), x)
 
 
 def reference_root_system(labels, scale=1) -> RootSystem:
@@ -165,25 +196,21 @@ def reference_root_system(labels, scale=1) -> RootSystem:
     denominator = math.lcm(*(g.denominator for line in gram for g in line))
     fields = dict(
         factors=parsed, rank=n, cartan=tuple(tuple(line) for line in cartan),
-        d=tuple(scale * Fraction(dj) for dj in d0), positive_roots=(), w0_word=(),
-        w0_perm=tuple(perm), highest_roots=tuple(highest), weyl_vector=Weight((1,) * n),
+        d=tuple(scale * Fraction(dj) for dj in d0), positive_roots=(),
+        w0_perm=tuple(perm), highest_roots=tuple(highest),
         scale=scale, denominator=denominator,
         form=tuple(tuple(int(g * denominator) for g in line) for line in gram),
     )
     skeleton = RootSystem(**fields)
-    word = []
-    cur = skeleton.weyl_vector
-    while (j := next((k + 1 for k in range(n) if cur.coords[k] > 0), None)) is not None:
-        word.append(j)
-        cur = skeleton.reflect(cur, j)
+    word = w0_word(skeleton)
     roots = tuple(apply_word(skeleton, word[:r], skeleton.simple_root(j)) for r, j in enumerate(word))
-    return RootSystem(**{**fields, "positive_roots": roots, "w0_word": tuple(word)})
+    return RootSystem(**{**fields, "positive_roots": roots})
 
 
 def reference_minus_w0(R: RootSystem, x: Weight) -> Weight:
     """-w0 x: apply the word of w0 (rightmost letter first), one simple reflection at a time, then negate."""
     coords = list(x.coords)
-    for j in reversed(R.w0_word):
+    for j in reversed(w0_word(R)):
         c = coords[j - 1]
         coords = [coords[i] - c * R.cartan[i][j - 1] for i in range(R.rank)]
     return Weight.of(-c for c in coords)
@@ -305,20 +332,20 @@ def apply_matrix(m, w: Weight) -> Weight:
     return Weight(tuple(sum(m[i][k] * w.coords[k] for k in range(n)) for i in range(n)))
 
 
-def weyl_character_value(R: RootSystem, weyl, mu: Weight, t: Weight) -> float:
-    """Alternating-sum character at a generic point t (rank <= 2 use only)."""
-    rho = R.weyl_vector
+def weyl_character_value(R: RootSystem, weyl, mu: Weight, t) -> float:
+    """Alternating-sum character at a generic point t, a plain tuple of rationals (rank <= 2 use only)."""
+    half_sum = rho(R)
     num = 0.0
     den = 0.0
     for m, sign in weyl:
-        num += sign * math.exp(float(inner_product(R, apply_matrix(m, mu + rho), t)))
-        den += sign * math.exp(float(inner_product(R, apply_matrix(m, rho), t)))
+        num += sign * math.exp(float(rational_inner_product(R, apply_matrix(m, mu + half_sum).coords, t)))
+        den += sign * math.exp(float(rational_inner_product(R, apply_matrix(m, half_sum).coords, t)))
     return num / den
 
 
-def direct_character_value(R: RootSystem, system, t: Weight) -> float:
-    """sum over the weight multiset of e^{(weight, t)}."""
-    return sum(m * math.exp(float(inner_product(R, w, t))) for w, m in system)
+def direct_character_value(R: RootSystem, system, t) -> float:
+    """sum over the weight multiset of e^{(weight, t)}, t a plain tuple of rationals."""
+    return sum(m * math.exp(float(rational_inner_product(R, w.coords, t))) for w, m in system)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +359,7 @@ def _reference_bracket(x: Fraction, h: float) -> float:
 
 def reference_casimir(R: RootSystem, mu: Weight, lam: Weight, q: float) -> float:
     h = math.log(q)
-    shifted = lam + R.weyl_vector
+    shifted = lam + rho(R)
     total = 0.0
     for eps, mult in weight_system(R, mu):
         total += mult * math.exp(-2.0 * float(inner_product(R, shifted, eps)) * h)
@@ -341,14 +368,14 @@ def reference_casimir(R: RootSystem, mu: Weight, lam: Weight, q: float) -> float
 
 def reference_q_laplacian(R: RootSystem, spec, lam: Weight, q: float) -> float:
     h = math.log(q)
-    rho = R.weyl_vector
-    shifted = lam + rho
+    half_sum = rho(R)
+    shifted = lam + half_sum
 
     def term(mu):
         total = 0.0
         for eps, mult in weight_system(R, mu):
             x = inner_product(R, shifted, eps)
-            y = inner_product(R, rho, eps)
+            y = inner_product(R, half_sum, eps)
             total += mult * (_reference_bracket(x, h) ** 2 - _reference_bracket(y, h) ** 2)
         return total
 
@@ -356,15 +383,15 @@ def reference_q_laplacian(R: RootSystem, spec, lam: Weight, q: float) -> float:
 
 
 def reference_classical(R: RootSystem, spec, lam: Weight):
-    rho = R.weyl_vector
-    shifted = lam + rho
+    half_sum = rho(R)
+    shifted = lam + half_sum
     exact = spec.is_rational
     total = Fraction(0) if exact else 0.0
     for mu, a in spec.terms:
         inner = Fraction(0)
         for eps, mult in weight_system(R, mu):
             x = inner_product(R, shifted, eps)
-            y = inner_product(R, rho, eps)
+            y = inner_product(R, half_sum, eps)
             inner += mult * (x * x - y * y)
         total += (a if exact else float(a)) * (inner if exact else float(inner))
     return total
@@ -372,11 +399,11 @@ def reference_classical(R: RootSystem, spec, lam: Weight):
 
 def reference_lower_bound(R: RootSystem, spec, q: float) -> float:
     h = math.log(q)
-    rho = R.weyl_vector
+    half_sum = rho(R)
     total = 0.0
     for mu, a in spec.terms:
         for eps, mult in weight_system(R, mu):
-            total += float(a) * mult * _reference_bracket(inner_product(R, rho, eps), h) ** 2
+            total += float(a) * mult * _reference_bracket(inner_product(R, half_sum, eps), h) ** 2
     return -total
 
 
@@ -390,12 +417,12 @@ def reference_dynkin_index(R: RootSystem, mu: Weight, theta: Weight) -> Fraction
 
 def reference_dim(R: RootSystem, mu: Weight) -> Fraction:
     """Weyl's product over positive roots, as a Fraction (an integer when it is right)."""
-    rho = R.weyl_vector
+    half_sum = rho(R)
     num = Fraction(1)
     den = Fraction(1)
     for alpha in R.positive_roots:
-        num *= inner_product(R, mu + rho, alpha)
-        den *= inner_product(R, rho, alpha)
+        num *= inner_product(R, mu + half_sum, alpha)
+        den *= inner_product(R, half_sum, alpha)
     return num / den
 
 
@@ -407,7 +434,7 @@ def reference_witness(R: RootSystem, mu: Weight, q: float) -> Decimal:
     about log10(dim V(g) / difference) digits, which 100 digits absorb for
     every q in float range.
     """
-    rho = R.weyl_vector
+    half_sum = rho(R)
     zero = Weight.zero(R.rank)
     with localcontext() as ctx:
         ctx.prec = 100
@@ -416,7 +443,7 @@ def reference_witness(R: RootSystem, mu: Weight, q: float) -> Decimal:
         def casimir(highest: Weight, lam: Weight) -> Decimal:
             total = Decimal(0)
             for eps, mult in weight_system(R, highest):
-                x = inner_product(R, lam + rho, eps)
+                x = inner_product(R, lam + half_sum, eps)
                 total += mult * (-2 * Decimal(x.numerator) / Decimal(x.denominator) * h).exp()
             return total
 
@@ -449,7 +476,7 @@ class FodcIndex:
         if len(set(self.pairs)) != len(self.pairs):
             raise InvariantError("calculus index contains duplicate (zeta, mu) pairs")
         for zeta, mu in self.pairs:
-            if not (mu.is_integral and mu.is_dominant):
+            if not mu.is_dominant:
                 raise InvariantError(f"index weight {mu.serialize()} is not dominant integral")
 
     @staticmethod

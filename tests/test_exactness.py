@@ -14,12 +14,14 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    fundamental,
     reference_casimir,
     reference_classical,
     reference_dim,
     reference_dynkin_index,
     reference_lower_bound,
     reference_q_laplacian,
+    rho,
 )
 from qlaplacian.cartan import Weight, build_root_system, inner_product
 from qlaplacian.spectra import (
@@ -45,7 +47,7 @@ def _weights(rank: int, top: int) -> list[Weight]:
 
 def _mus(rank: int) -> list[Weight]:
     """The fundamental weights and twice the first."""
-    return [Weight.fundamental(rank, j) for j in range(1, rank + 1)] + [Weight.fundamental(rank, 1).scaled(2)]
+    return [fundamental(rank, j) for j in range(1, rank + 1)] + [fundamental(rank, 1) + fundamental(rank, 1)]
 
 
 def _specs(R) -> list[LaplacianSpec]:
@@ -79,7 +81,7 @@ def test_integer_pairings_equal_fraction_pairings(label, scale):
             assert lower_bound(R, spec, q) == reference_lower_bound(R, spec, q)
     if len(R.factors) == 1:
         for mu in _mus(R.rank):
-            for theta in [Weight.fundamental(R.rank, 1), *R.highest_roots, *lams[1:4]]:
+            for theta in [fundamental(R.rank, 1), *R.highest_roots, *lams[1:4]]:
                 assert dynkin_index(R, mu) == reference_dynkin_index(R, mu, theta)
 
 
@@ -92,9 +94,9 @@ SIMPLE_LABELS = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "D5", "F4", "G2", "E6
 def test_dynkin_index_equals_the_trace_sum(label, scale):
     """Casimir's closed form against sum_e mult(e) (e, t)^2 / (t, t), for several test weights t."""
     R = build_root_system([label], scale=scale)
-    smallest = min((Weight.fundamental(R.rank, j) for j in range(1, R.rank + 1)),
+    smallest = min((fundamental(R.rank, j) for j in range(1, R.rank + 1)),
                    key=lambda w: dim_irrep(R, w))
-    thetas = [Weight.fundamental(R.rank, 1), *R.highest_roots, R.weyl_vector]
+    thetas = [fundamental(R.rank, 1), *R.highest_roots, rho(R)]
     for mu in [Weight.zero(R.rank), smallest, *R.highest_roots]:
         for theta in thetas:
             assert dynkin_index(R, mu) == reference_dynkin_index(R, mu, theta)
@@ -104,5 +106,5 @@ def test_dynkin_index_builds_no_weight_system():
     """E8 (0,...,0,1,1) has 4,096,000 dimensions, more weights than the row cap allows."""
     R = build_root_system(["E8"])
     mu = Weight.of([0, 0, 0, 0, 0, 0, 1, 1])
-    expected = reference_dim(R, mu) * inner_product(R, mu, mu + R.weyl_vector.scaled(2)) / 248  # dim e8
+    expected = reference_dim(R, mu) * inner_product(R, mu, mu + rho(R) + rho(R)) / 248  # dim e8
     assert dynkin_index(R, mu) == expected == 3072000

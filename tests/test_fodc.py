@@ -12,7 +12,13 @@ import itertools
 
 import pytest
 
-from oracles import FodcIndex, reference_fodc_dimension, reference_fodc_enumeration, reference_star_structure
+from oracles import (
+    FodcIndex,
+    fundamental,
+    reference_fodc_dimension,
+    reference_fodc_enumeration,
+    reference_star_structure,
+)
 from qlaplacian.cartan import (
     CenterElement,
     Weight,
@@ -116,7 +122,7 @@ def test_star_structure_examples():
 def test_star_admissible_indices_are_negation_closed():
     for r in (A1, A2, R("A3"), R("D4")):
         classes = center_group(r).representatives
-        mus = [Weight.zero(r.rank), Weight.fundamental(r.rank, 1)]
+        mus = [Weight.zero(r.rank), fundamental(r.rank, 1)]
         pool = [(z, mu) for z in classes for mu in mus]
         for size in (1, 2):
             for pairs in itertools.combinations(pool, size):
@@ -214,7 +220,7 @@ def test_q_laplacian_implies_hermitian_and_self_adjoint():
 def test_self_dual_types_accept_single_terms():
     for label in ["A1", "B2", "G2", "D4"]:
         r = R(label)
-        mu = Weight.fundamental(r.rank, 1)
+        mu = fundamental(r.rank, 1)
         assert minus_w0(r, mu) == mu
         spec = GeneralFunctionalSpec.of([(zero(r), mu, 2)])
         assert validate_functional(r, spec).q_laplacian

@@ -100,6 +100,12 @@ def test_laplacian_spec_refuses_a_coefficient_whose_float_is_zero():
         classical_laplacian_eigenvalue(R, LaplacianSpec.of([((1,), 1)]), Weight((1,)))
 
 
+def test_a_refused_coefficient_too_long_to_print_is_named_by_its_term():
+    # str() of a Fraction of more than 4300 digits raises ValueError; the refusal prints none of them
+    with pytest.raises(InvariantError, match="^the coefficient of term 1 is not positive$"):
+        LaplacianSpec.of([((1,), Fraction(-1, 10**5000))])
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     code = ("import sys; before = set(sys.modules); import qlaplacian.cli; "
             "print(*sorted(set(sys.modules) - before))")

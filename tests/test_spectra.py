@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import apply_w0, reference_witness
+from oracles import apply_w0, reference_witness, rho
 from qlaplacian.cartan import (
     Weight,
     build_root_system,
@@ -300,8 +300,8 @@ def witness_error_bound(r, mu, q):
     Squaring doubles that, the sum over highest roots and the product add the rest.
     """
     h = math.log(q)
-    rho = r.weyl_vector
-    args = [abs(2 * float(inner_product(r, rho, eps)) * h) for eps, _ in weight_system(r, mu)]
+    half_sum = rho(r)
+    args = [abs(2 * float(inner_product(r, half_sum, eps)) * h) for eps, _ in weight_system(r, mu)]
     bound = len(args) + 3 + 3 * max(args)
     dual = minus_w0(r, mu)
 
@@ -310,7 +310,7 @@ def witness_error_bound(r, mu, q):
 
     worst = 0.0
     for g in r.highest_roots:
-        xs = [(float(inner_product(r, dual + rho, eps)), float(inner_product(r, rho, eps)), mult)
+        xs = [(float(inner_product(r, dual + half_sum, eps)), float(inner_product(r, half_sum, eps)), mult)
               for eps, mult in weight_system(r, g)]
         size = sum(m * (square(x) + square(y)) for x, y, m in xs)
         value = abs(sum(m * (square(x) - square(y)) for x, y, m in xs))
@@ -343,7 +343,7 @@ def test_witness_on_products_sums_factor_terms():
 def test_classical_identity_against_dynkin_index():
     rng = random.Random(23)
     for r in (A1, A2, G2):
-        rho2 = r.weyl_vector + r.weyl_vector
+        rho2 = rho(r) + rho(r)
         for _ in range(10):
             mus = set()
             while len(mus) < 2:
@@ -378,7 +378,7 @@ def test_antipode_symmetry_of_casimir():
             lhs = casimir_eigenvalue(A2, mu, lam, q)
             w0lam = apply_w0(A2, lam)
             h = math.log(q)
-            rhs = sum(m * math.exp(2 * float(inner_product(A2, w0lam - A2.weyl_vector, w)) * h)
+            rhs = sum(m * math.exp(2 * float(inner_product(A2, w0lam - rho(A2), w)) * h)
                       for w, m in weight_system(A2, dual))
             assert rel_close(lhs, rhs)
 

@@ -87,19 +87,20 @@ def test_weyl_invariance_of_multiplicities():
     for label in ["A2", "B2", "G2"]:
         r = R(label)
         ws = weight_system(r, Weight.of([2, 1]))
+        mult = dict(ws.entries)
         for w, m in ws:
             for j in range(1, r.rank + 1):
-                assert ws.multiplicity(r.reflect(w, j)) == m
+                assert mult.get(r.reflect(w, j), 0) == m
 
 
 def test_extreme_weights_have_multiplicity_one():
     for label in ["A2", "B2", "G2"]:
         r = R(label)
         for mu in dominant_up_to(r, 3):
-            ws = weight_system(r, mu)
-            assert ws.multiplicity(mu) == 1
+            mult = dict(weight_system(r, mu).entries)
+            assert mult.get(mu, 0) == 1
             lowest = apply_w0(r, mu)
-            assert ws.multiplicity(lowest) == 1
+            assert mult.get(lowest, 0) == 1
 
 
 def test_dual_weight_system_is_negated():
@@ -131,8 +132,7 @@ def test_character_oracle_spot_check():
         weyl = brute_weyl_group(r)
         for mu in dominant_up_to(r, 3):
             # strictly dominant t keeps the alternating denominator nonzero
-            t = Weight.of([Fraction(rng.randint(1, 9), rng.randint(10, 19))
-                           for _ in range(r.rank)])
+            t = tuple(Fraction(rng.randint(1, 9), rng.randint(10, 19)) for _ in range(r.rank))
             direct = direct_character_value(r, weight_system(r, mu), t)
             alternating = weyl_character_value(r, weyl, mu, t)
             assert abs(direct - alternating) <= 1e-8 * max(1.0, abs(direct)), (label, mu)
@@ -143,7 +143,7 @@ def test_rejections():
     with pytest.raises(InvariantError):
         weight_system(r, Weight.of([-1, 0]))
     with pytest.raises(InvariantError):
-        weight_system(r, Weight.of([Fraction(1, 2), 0]))
+        weight_system(r, Weight((Fraction(1, 2), 0)))
     with pytest.raises(InvariantError):
         dim_irrep(r, Weight.of([1]))
 
@@ -156,7 +156,7 @@ def test_row_cap_is_met_exactly_by_the_distinct_weights(monkeypatch):
         monkeypatch.delenv("QLAP_ROW_CAP", raising=False)
         cached = weight_system(r, mu)
         monkeypatch.setenv("QLAP_ROW_CAP", str(len(cached)))
-        assert build(r, mu) == cached
+        assert build(r, mu).entries == cached.entries
         monkeypatch.setenv("QLAP_ROW_CAP", str(len(cached) - 1))
         with pytest.raises(ResourceCapError):
             build(r, mu)
