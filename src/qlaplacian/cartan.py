@@ -132,9 +132,12 @@ class Weight(_Record):
         """Integral rationals (2, Fraction(4, 2), "3/3", 2.0) as `int`s; any other value raises `InvariantError`."""
         coords = []
         for v in values:
-            v = v if type(v) is int else Fraction(v)
-            if v.denominator != 1:
-                raise InvariantError(f"weight coordinate {len(coords) + 1} is not an integer")
+            try:  # None, NaN, an infinity and a string of too many digits fail in Fraction
+                v = v if type(v) is int else Fraction(v)
+                if v.denominator != 1:
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                raise InvariantError(f"weight coordinate {len(coords) + 1} is not an integer") from None
             coords.append(v.numerator)
         return Weight(tuple(coords))
 
@@ -391,10 +394,11 @@ def _check_length(R: RootSystem, w: Weight):
 
 
 def check_dominant_integral(R: RootSystem, w: Weight):
-    """Reject a weight of the wrong length or one that is not dominant integral."""
+    """Reject a weight of the wrong length or one that is not dominant integral, naming the first bad coordinate."""
     _check_length(R, w)
     if not w.is_dominant:
-        raise InvariantError(f"weight {w.serialize()} is not dominant integral")
+        k = next(k for k, a in enumerate(w.coords, 1) if type(a) is not int or a < 0)
+        raise InvariantError(f"the weight is not dominant integral at coordinate {k}")
 
 
 def untouched_factors(R: RootSystem, weights: Sequence[Weight]) -> list[int]:

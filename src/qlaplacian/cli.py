@@ -143,8 +143,6 @@ def _laplacian_spec(R: RootSystem, terms: list[str]) -> LaplacianSpec:
 
 
 def _general_spec(R: RootSystem, terms: list[str]) -> GeneralFunctionalSpec:
-    if not terms:
-        raise UsageError("at least one --term is required")
     triples = []
     for text in terms:
         zeta, mu, a = _parse_term(text, R.rank)
@@ -227,8 +225,6 @@ def _csv_cell(value) -> str:
         return value.serialize()
     if isinstance(value, CenterElement):
         return value.serialize()
-    if isinstance(value, complex):
-        return f"{_fmt_float(value.real)}{'+' if value.imag >= 0 else '-'}{_fmt_float(abs(value.imag))}j"
     if isinstance(value, dict):
         return "|".join(f"{k}={_csv_cell(v)}" for k, v in value.items())
     if isinstance(value, Pair):  # before the tuple branch: a Pair is a tuple

@@ -45,14 +45,10 @@ def _pair_key(pair: Pair):
     return (sum(pair[0].rep), pair[0].rep, graded_key(pair[1]))
 
 
-def _is_zero_pair(pair: Pair) -> bool:
-    return pair[0].is_zero and pair[1].is_zero
-
-
 def induced_class(R: RootSystem, spec: GeneralFunctionalSpec) -> tuple[Pair, ...]:
     """The pairs of the terms with a != 0, classes reduced, (0, 0) dropped, in `_pair_key` order."""
     pairs = (Pair(center_reduce(R, zeta.rep), mu) for zeta, mu, a in spec.terms if a != 0)
-    return tuple(sorted((p for p in pairs if not _is_zero_pair(p)), key=_pair_key))
+    return tuple(sorted((p for p in pairs if not (p.zeta.is_zero and p.mu.is_zero)), key=_pair_key))
 
 
 def _pair_tables(R: RootSystem, pairs: tuple[Pair, ...]) -> tuple[list[int], list[int]]:
@@ -160,8 +156,9 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
     except ResourceCapError:
         raise ResourceCapError(f"enumeration exceeds the cap of {max_indices} calculi") from None
     zetas = center_group(R).representatives if include_center else (center_reduce(R, [0] * R.rank),)
-    pool = [Pair(z, mu) for z in zetas for mu in mus]
-    pool = tuple(sorted((p for p in pool if not _is_zero_pair(p)), key=_pair_key))
+    # zetas come sorted by (sum, rep) and mus in graded-lex order, both from zero: their product is
+    # in `_pair_key` order with (0, 0) first, which the slice drops
+    pool = tuple(Pair(z, mu) for z in zetas for mu in mus)[1:]
     sizes, needs = _pair_tables(R, pool)
     # calculus m | 1 << i is calculus m (m < 1 << i) extended by pair i: (pairs, dimension, needed bits)
     calculi = [((), 0, 0)]

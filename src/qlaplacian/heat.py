@@ -33,14 +33,12 @@ class BlockCoefficients(NamedTuple):
     @staticmethod
     def of(R: RootSystem, data) -> "BlockCoefficients":
         blocks = []
-        for lam, matrix in (data.items() if isinstance(data, dict) else data):
+        for k, (lam, matrix) in enumerate(data.items() if isinstance(data, dict) else data, 1):
             lam = Weight.of(lam.coords if isinstance(lam, Weight) else lam)
             n = dim_irrep(R, lam)
             rows = tuple(tuple(complex(v) for v in row) for row in matrix)
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise InvariantError(
-                    f"block at {lam.serialize()} must be {n}x{n} to match dim V(lam)"
-                )
+            if len(rows) != n or any(len(row) != n for row in rows):  # named by position: n may not print
+                raise InvariantError(f"the matrix of block {k} is not dim V(lam) by dim V(lam)")
             blocks.append((lam, rows))
         if len({lam for lam, _ in blocks}) != len(blocks):
             raise InvariantError("duplicate block weight")

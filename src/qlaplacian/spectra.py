@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from numbers import Rational
 from typing import NamedTuple
 
 from .cartan import (
@@ -54,41 +53,41 @@ def _pairings(R: RootSystem, mu: Weight, lam: Weight):
     return pairings(R, weight_system(R, mu).rows, lam)
 
 
-def _as_coefficient(a):
-    """Keep rational coefficients exact; everything else becomes a float."""
-    if isinstance(a, bool):
-        raise InvariantError("coefficient must be numeric")
-    if isinstance(a, Rational):
-        return Fraction(a)
-    return float(a)
+def _as_coefficient(a, k: int) -> Fraction:
+    """The exact value of a finite real coefficient: an int, Fraction, float or Decimal."""
+    if not isinstance(a, (bool, str, complex)):
+        try:
+            return Fraction(a)
+        except (TypeError, ValueError, OverflowError):  # NaN, an infinity, or no number at all
+            pass
+    raise InvariantError(f"the coefficient of term {k} is not a finite real number")
 
 
 class LaplacianSpec(_Record):
-    """The data (mu_1, a_1), ..., (mu_m, a_m) with distinct mu and a_l > 0, float(a_l) != 0."""
+    """The data (mu_1, a_1), ..., (mu_m, a_m) with distinct mu and `Fraction`s a_l > 0, float(a_l) != 0."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Weight, Fraction | float], ...]):
+    def __init__(self, terms: tuple[tuple[Weight, Fraction], ...]):
         mus = [mu for mu, _ in terms]
         if len(set(mus)) != len(mus):
             raise InvariantError("Laplacian terms must have pairwise distinct weights")
-        for mu, a in terms:  # the refusals name a term by its weight: a coefficient's digits may not print
+        for k, (mu, a) in enumerate(terms, 1):  # a refusal names a term by its position: digits may not print
             if not mu.is_dominant:
-                raise InvariantError(f"term weight {mu.serialize()} is not dominant integral")
+                raise InvariantError(f"the weight of term {k} is not dominant integral")
+            if type(a) is not Fraction:
+                raise InvariantError(f"the coefficient of term {k} is not a Fraction")
             if not a > 0:
-                raise InvariantError(f"the coefficient of term {mu.serialize()} is not positive")
+                raise InvariantError(f"the coefficient of term {k} is not positive")
             if a < 1 and not float(a):
                 raise InvariantError("float underflow: a positive term coefficient has float 0")
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(pairs) -> "LaplacianSpec":
-        return LaplacianSpec(tuple((mu if isinstance(mu, Weight) else Weight.of(mu),
-                                    _as_coefficient(a)) for mu, a in pairs))
-
-    @property
-    def is_rational(self) -> bool:
-        return all(isinstance(a, Fraction) for _, a in self.terms)
+        """Weights through `Weight.of`, coefficients read exactly; any other value raises `InvariantError`."""
+        return LaplacianSpec(tuple((mu if isinstance(mu, Weight) else Weight.of(mu), _as_coefficient(a, k))
+                                   for k, (mu, a) in enumerate(pairs, 1)))
 
 
 class GeneralFunctionalSpec(_Record):
@@ -100,9 +99,9 @@ class GeneralFunctionalSpec(_Record):
         pairs = [(z, mu) for z, mu, _ in terms]
         if len(set(pairs)) != len(pairs):
             raise InvariantError("functional terms must have distinct (zeta, mu) pairs")
-        for _, mu, _ in terms:
+        for k, (_, mu, _) in enumerate(terms, 1):
             if not mu.is_dominant:
-                raise InvariantError(f"term weight {mu.serialize()} is not dominant integral")
+                raise InvariantError(f"the weight of term {k} is not dominant integral")
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
@@ -148,14 +147,12 @@ def q_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight, q) -
     return sum(float(a) * term(mu) for mu, a in spec.terms)
 
 
-def classical_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight):
-    """The q -> 1 limit, exact rational when all coefficients are rational."""
-    exact = spec.is_rational
-    total = Fraction(0) if exact else 0.0
+def classical_laplacian_eigenvalue(R: RootSystem, spec: LaplacianSpec, lam: Weight) -> Fraction:
+    """The q -> 1 limit sum_l a_l sum_e ((lam+r, e)^2 - (r, e)^2), exactly."""
+    total = Fraction(0)
     for mu, a in spec.terms:
-        inner = Fraction(sum(mult * (x * x - y * y) for mult, x, y in _pairings(R, mu, lam)),
-                         R.denominator ** 2)
-        total += (a if exact else float(a)) * (inner if exact else float(inner))
+        total += a * Fraction(sum(mult * (x * x - y * y) for mult, x, y in _pairings(R, mu, lam)),
+                              R.denominator ** 2)
     return total
 
 

@@ -26,15 +26,14 @@ from .errors import InvariantError, ResourceCapError
 
 
 class WeightSystem:
-    """The multiset of weights of the irreducible module V(highest).
+    """The multiset of weights of an irreducible module.
 
     `rows` holds (D G e, mult(e)) in the order of `entries`.
     """
 
-    __slots__ = ("highest", "entries", "rows")
+    __slots__ = ("entries", "rows")
 
-    def __init__(self, R: RootSystem, highest: Weight, entries):
-        self.highest = highest
+    def __init__(self, R: RootSystem, entries):
         self.entries = tuple(sorted(entries, key=lambda e: graded_key(e[0])))
         self.rows = tuple((R.row(w), m) for w, m in self.entries)
 
@@ -49,7 +48,7 @@ class WeightSystem:
         return len(self.entries)
 
     def __repr__(self):
-        return f"WeightSystem(highest={self.highest!r}, size={self.dimension})"
+        return f"WeightSystem(size={self.dimension})"
 
 
 def _weyl_orbit(R: RootSystem, nu: Weight):
@@ -109,7 +108,7 @@ def _dominant_weights(R: RootSystem, mu: Weight, roots) -> set[Weight]:
         nu = stack.pop()
         size += _orbit_size(roots, nu)
         if size > cap:
-            raise ResourceCapError(f"the weight system of {mu.serialize()} exceeds the row cap of {cap} weights")
+            raise ResourceCapError(f"the weight system exceeds the row cap of {cap} weights")
         for alpha, *_ in roots:
             x = nu - alpha
             if x.is_dominant and x not in found:
@@ -145,7 +144,7 @@ def weight_system(R: RootSystem, mu: Weight) -> WeightSystem:
         if rest or m_nu <= 0:
             raise InvariantError(f"Freudenthal recursion produced non-integer multiplicity at {nu.serialize()}")
         full.update(dict.fromkeys(_weyl_orbit(R, nu), m_nu))
-    return WeightSystem(R, mu, full.items())
+    return WeightSystem(R, full.items())
 
 
 def pairings(R: RootSystem, rows, lam: Weight):

@@ -385,15 +385,12 @@ def reference_q_laplacian(R: RootSystem, spec, lam: Weight, q: float) -> float:
 def reference_classical(R: RootSystem, spec, lam: Weight):
     half_sum = rho(R)
     shifted = lam + half_sum
-    exact = spec.is_rational
-    total = Fraction(0) if exact else 0.0
+    total = Fraction(0)
     for mu, a in spec.terms:
-        inner = Fraction(0)
         for eps, mult in weight_system(R, mu):
             x = inner_product(R, shifted, eps)
             y = inner_product(R, half_sum, eps)
-            inner += mult * (x * x - y * y)
-        total += (a if exact else float(a)) * (inner if exact else float(inner))
+            total += a * mult * (x * x - y * y)
     return total
 
 

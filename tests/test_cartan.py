@@ -92,6 +92,14 @@ def test_weight_of_stores_integral_coordinates_as_int():
     assert all(type(c) is int for w in built for c in w.coords)
 
 
+def test_weight_of_refuses_a_coordinate_that_is_no_rational():
+    # NaN and an infinity fail Fraction with ValueError and OverflowError, None with TypeError, and a
+    # string of 5000 digits with ValueError (past the 4300 digits an int may be read from)
+    for bad in [float("nan"), float("inf"), None, "9" * 5000]:
+        with pytest.raises(InvariantError, match="^weight coordinate 2 is not an integer$"):
+            Weight.of([1, bad])
+
+
 @pytest.mark.parametrize("bad", [Fraction(1, 2), 0.25], ids=str)
 def test_every_entry_point_refuses_non_integral_weights(bad):
     r = R("A2")

@@ -51,7 +51,7 @@ def _mus(rank: int) -> list[Weight]:
 
 
 def _specs(R) -> list[LaplacianSpec]:
-    """A rational spec, and one that mixes rational and float coefficients."""
+    """A rational spec, and one that mixes rational and float coefficients (read exactly)."""
     mus = _mus(R.rank)
     rational = LaplacianSpec.of([(mu, Fraction(j + 1, 2)) for j, mu in enumerate(mus)])
     mixed = LaplacianSpec.of([(mu, Fraction(3, 2) if j % 2 else (j + 1) / 7)
@@ -64,13 +64,13 @@ def test_integer_pairings_equal_fraction_pairings(label, scale):
     R = build_root_system([label], scale=scale)
     lams = _weights(R.rank, 2 if R.rank <= 2 else 1)
     specs = _specs(R)
-    assert not specs[1].is_rational
+    assert all(type(a) is Fraction for spec in specs for _, a in spec.terms)
     for lam in lams:
         assert dim_irrep(R, lam) == reference_dim(R, lam)
         for spec in specs:
             value = classical_laplacian_eigenvalue(R, spec, lam)
             expected = reference_classical(R, spec, lam)
-            assert type(value) is type(expected) and value == expected
+            assert type(value) is Fraction and value == expected
             for q in QS:
                 assert q_laplacian_eigenvalue(R, spec, lam, q) == reference_q_laplacian(R, spec, lam, q)
         for mu in [Weight.zero(R.rank), *_mus(R.rank)]:

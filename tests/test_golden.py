@@ -145,6 +145,12 @@ CASES = {
                           "--q", "0.5", "--radius", "2"], {}),
     "reject_zeta_rank": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1:zeta=1"], {}),
     "reject_fodc_mode": (["fodc", "--type", "A2"], {}),
+    # rejections: malformed terms, terms a Laplacian command does not take, and a witness with no weight
+    **{f"reject_term_{name}": (["spectrum", "--type", "A1", "--term", term, "--q", "0.5", "--radius", "2"], {})
+       for name, term in [("mu_text", "mu=x"), ("field_without_value", "mu=1:a"), ("unknown_field", "mu=1:b=2"),
+                          ("duplicate_field", "mu=1:mu=1"), ("missing_mu", "a=1"), ("zeta", "mu=1:zeta=1"),
+                          ("complex_coefficient", "mu=1:a=1+2j")]},
+    "reject_witness_no_mu": (["witness", "--type", "A1", "--q", "0.5"], {}),
     # rejections: validation takes none of the enumeration flags
     "reject_fodc_term_max_height": (["fodc", "--type", "A2", "--term", "mu=1,0", "--max-height", "1"], {}),
     "reject_fodc_term_include_center": (["fodc", "--type", "A2", "--term", "mu=1,0", "--include-center"], {}),

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import qlaplacian
-from qlaplacian.cartan import CenterElement, SimpleType, Weight, build_root_system
-from qlaplacian.errors import InvariantError
+from qlaplacian.cartan import CenterElement, SimpleType, Weight, build_root_system, check_dominant_integral
+from qlaplacian.errors import InvariantError, ResourceCapError
+from qlaplacian.heat import BlockCoefficients
 from qlaplacian.spectra import GeneralFunctionalSpec, LaplacianSpec, classical_laplacian_eigenvalue
+from qlaplacian.weights import weight_system
 
 RECORDS = {
     "SimpleType": lambda: SimpleType("A", 2),
@@ -104,6 +106,22 @@ def test_a_refused_coefficient_too_long_to_print_is_named_by_its_term():
     # str() of a Fraction of more than 4300 digits raises ValueError; the refusal prints none of them
     with pytest.raises(InvariantError, match="^the coefficient of term 1 is not positive$"):
         LaplacianSpec.of([((1,), Fraction(-1, 10**5000))])
+
+
+def test_a_refused_weight_too_long_to_print_is_named_by_its_position():
+    # str() of an int of more than 4300 digits raises ValueError; no refusal prints a weight
+    R = build_root_system(["A1"])
+    huge, negative = Weight((10**5000,)), Weight((-10**5000,))
+    with pytest.raises(InvariantError, match="^the weight of term 1 is not dominant integral$"):
+        LaplacianSpec.of([(negative, 1)])
+    with pytest.raises(InvariantError, match="^the weight of term 1 is not dominant integral$"):
+        GeneralFunctionalSpec.of([(CenterElement((0,)), negative, 1)])
+    with pytest.raises(InvariantError, match="^the weight is not dominant integral at coordinate 1$"):
+        check_dominant_integral(R, negative)
+    with pytest.raises(ResourceCapError, match="^the weight system exceeds the row cap of"):
+        weight_system(R, huge)
+    with pytest.raises(InvariantError, match="^the matrix of block 1 is not dim V"):
+        BlockCoefficients.of(R, [(huge, [[1]])])
 
 
 def test_importing_the_cli_loads_no_dataclasses():

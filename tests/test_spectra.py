@@ -143,9 +143,38 @@ def test_classical_examples_are_exact():
         assert value == Fraction(n * (n + 2), 2)
     spec2 = LaplacianSpec.of([(Weight.of([1, 0]), 1), (Weight.of([0, 1]), 1)])
     assert classical_laplacian_eigenvalue(A2, spec2, Weight.of([1, 0])) == Fraction(16, 3)
-    # non-rational coefficients drop to floats
+    # a float coefficient is read exactly, so its limit is exact too
     value = classical_laplacian_eigenvalue(A1, LaplacianSpec.of([(W1, 1.25)]), Weight.of([2]))
-    assert isinstance(value, float) and rel_close(value, 1.25 * 4.0)
+    assert type(value) is Fraction and value == Fraction(5)
+
+
+def test_spec_coefficients_are_read_exactly():
+    spec = LaplacianSpec.of([(W1, 1), (Weight.of([2]), 0.1), (Weight.of([3]), Decimal("0.1")),
+                             (Weight.of([4]), Fraction(2, 3))])
+    assert [a for _, a in spec.terms] == [1, Fraction(0.1), Fraction(1, 10), Fraction(2, 3)]
+    assert all(type(a) is Fraction for _, a in spec.terms)
+    for bad in [math.inf, -math.inf, math.nan, Decimal("NaN"), Decimal("Infinity"), "3/2", 1 + 2j, 1 + 0j,
+                True, None]:
+        with pytest.raises(InvariantError, match="^the coefficient of term 2 is not a finite real number$"):
+            LaplacianSpec.of([(W1, 1), (Weight.of([2]), bad)])
+    # a record built past `of` takes no float back
+    for bad in [1.25, 1, Decimal("1.25")]:
+        with pytest.raises(InvariantError, match="^the coefficient of term 1 is not a Fraction$"):
+            LaplacianSpec(((W1, bad),))
+
+
+@pytest.mark.parametrize("x", [1.25, 0.1, 1 / 3, 2.0 ** -1000, 1e300], ids=float.hex)
+def test_a_float_coefficient_gives_the_values_of_its_fraction(x):
+    """float(Fraction(x)) == x for every finite float, so the float values do not move."""
+    spec, twin = LaplacianSpec.of([(W1, x)]), LaplacianSpec.of([(W1, Fraction(x))])
+    assert spec.terms == twin.terms and type(spec.terms[0][1]) is Fraction
+    for q in (0.37, 0.9, 0.999):
+        assert lower_bound(A1, spec, q).hex() == lower_bound(A1, twin, q).hex()
+        for n in range(4):
+            lam = Weight.of([n])
+            assert (q_laplacian_eigenvalue(A1, spec, lam, q).hex()
+                    == q_laplacian_eigenvalue(A1, twin, lam, q).hex())
+    assert q_laplacian_eigenvalue(A1, spec, Weight.zero(1), 0.5) == 0
 
 
 def test_general_functional_examples():
