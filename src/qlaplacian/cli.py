@@ -10,7 +10,6 @@ and non-finite results included), 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import cmath
 import math
 import os
 import re
@@ -79,23 +78,19 @@ def _parse_rational(text: str, what: str) -> Fraction:
     return value
 
 
-def _parse_coeff(text: str):
-    value, parts = None, [text]
-    if "j" in text or "J" in text:
-        try:
-            value = complex(text)
-        except ValueError as exc:
-            raise UsageError(f"cannot parse coefficient {text!r}") from exc
-        if not cmath.isfinite(value):
-            raise UsageError(f"coefficient {text!r} is not finite")
-        # each part read exactly, split at the last sign that is not an exponent's: 1+1e-400j
-        body = text.strip().removeprefix("(").removesuffix(")").strip()[:-1]
-        cut = max([k for k, c in enumerate(body) if c in "+-" and (k == 0 or body[k - 1] not in "eE")], default=0)
-        parts = [body[:cut] or "0", body[cut:] + "1" if body[cut:] in ("", "+", "-") else body[cut:]]
-    exact = [_parse_rational(part, "coefficient") for part in parts]
-    if any(x and not float(x) for x in exact):
-        raise InvariantError(f"float underflow: coefficient {text!r} has a nonzero part whose float is 0")
-    return exact[0] if value is None else value
+def _parse_coeff(text: str) -> Fraction | tuple[Fraction, Fraction]:
+    """A real literal as its `Fraction`, a complex one as the exact pair (re, im) of its parts."""
+    if "j" not in text and "J" not in text:
+        return _parse_rational(text, "coefficient")
+    try:
+        complex(text)  # the literal's syntax only: its parts are read exactly below
+    except ValueError as exc:
+        raise UsageError(f"cannot parse coefficient {text!r}") from exc
+    # split at the last sign that is not an exponent's: 1+1e-400j
+    body = text.strip().removeprefix("(").removesuffix(")").strip()[:-1]
+    cut = max([k for k, c in enumerate(body) if c in "+-" and (k == 0 or body[k - 1] not in "eE")], default=0)
+    parts = [body[:cut] or "0", body[cut:] + "1" if body[cut:] in ("", "+", "-") else body[cut:]]
+    return tuple(_parse_rational(part, "coefficient") for part in parts)
 
 
 def _parse_int_vector(text: str, what: str, rank: int) -> tuple[int, ...]:
@@ -131,24 +126,12 @@ def _parse_term(text: str, rank: int) -> tuple[tuple[int, ...] | None, tuple[int
 def _laplacian_spec(R: RootSystem, terms: list[str]) -> LaplacianSpec:
     if not terms:
         raise UsageError("at least one --term is required")
-    pairs = []
-    for text in terms:
-        zeta, mu, a = _parse_term(text, R.rank)
-        if zeta is not None and any(zeta):
-            raise UsageError("this command takes plain Laplacian terms; zeta must be 0")
-        if isinstance(a, complex):
-            raise UsageError("this command takes real coefficients")
-        pairs.append((Weight.of(mu), a))
-    return LaplacianSpec.of(pairs)
-
-
-def _general_spec(R: RootSystem, terms: list[str]) -> GeneralFunctionalSpec:
-    triples = []
-    for text in terms:
-        zeta, mu, a = _parse_term(text, R.rank)
-        z = center_reduce(R, zeta if zeta is not None else [0] * R.rank)
-        triples.append((z, Weight.of(mu), complex(a)))
-    return GeneralFunctionalSpec.of(triples)
+    triples = [_parse_term(text, R.rank) for text in terms]
+    if any(zeta is not None and any(zeta) for zeta, _, _ in triples):
+        raise UsageError("this command takes plain Laplacian terms; zeta must be 0")
+    if any(isinstance(a, tuple) for _, _, a in triples):
+        raise UsageError("this command takes real coefficients")
+    return LaplacianSpec.of([(mu, a) for _, mu, a in triples])
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +186,6 @@ def _json_value(value, memo: dict) -> str:
         return _fmt_float(value)
     if kind is Fraction:
         return '"' + _fmt_exact(value) + '"'
-    if kind is complex:
-        return _json_value({"re": value.real, "im": value.imag}, memo)
     if kind is Weight:
         return _json_value(list(value.coords), memo)
     if kind is CenterElement:
@@ -221,9 +202,7 @@ def _csv_cell(value) -> str:
         return _fmt_exact(value)
     if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, Weight):
-        return value.serialize()
-    if isinstance(value, CenterElement):
+    if isinstance(value, (Weight, CenterElement)):
         return value.serialize()
     if isinstance(value, dict):
         return "|".join(f"{k}={_csv_cell(v)}" for k, v in value.items())
@@ -344,15 +323,13 @@ def _cmd_fodc(args, R: RootSystem) -> dict:
     if cap < 0:
         raise UsageError(f"--index-cap must be nonnegative, got {cap}")
     if args.term:
-        spec = _general_spec(R, args.term)
+        triples = [_parse_term(text, R.rank) for text in args.term]
+        spec = GeneralFunctionalSpec.of([(center_reduce(R, zeta or [0] * R.rank), mu, a) for zeta, mu, a in triples])
         verdict = validate_functional(R, spec)
         induced = induced_class(R, spec)
         return {
-            "terms": [{"zeta": z, "mu": mu, "a": a} for z, mu, a in spec.terms],
-            "self_adjoint": verdict.self_adjoint,
-            "hermitian": verdict.hermitian,
-            "q_laplacian": verdict.q_laplacian,
-            "reasons": list(verdict.reasons),
+            "terms": [{"zeta": z, "mu": mu, "a": {"re": re, "im": im}} for z, mu, (re, im) in spec.terms],
+            **verdict._asdict(),  # self_adjoint, hermitian, q_laplacian, reasons
             "induced_dimension": fodc_dimension(R, induced),
             "induced_star_admissible": admits_star_structure(R, induced),
             "functional_class": list(induced),

@@ -7,6 +7,7 @@ as t grows, because the eigenvalues diverge with (lam, lam).
 
 from __future__ import annotations
 
+import cmath
 import math
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -36,7 +37,7 @@ class BlockCoefficients(NamedTuple):
         for k, (lam, matrix) in enumerate(data.items() if isinstance(data, dict) else data, 1):
             lam = Weight.of(lam.coords if isinstance(lam, Weight) else lam)
             n = dim_irrep(R, lam)
-            rows = tuple(tuple(complex(v) for v in row) for row in matrix)
+            rows = tuple(tuple(_as_entry(v, k) for v in row) for row in matrix)
             if len(rows) != n or any(len(row) != n for row in rows):  # named by position: n may not print
                 raise InvariantError(f"the matrix of block {k} is not dim V(lam) by dim V(lam)")
             blocks.append((lam, rows))
@@ -45,10 +46,20 @@ class BlockCoefficients(NamedTuple):
         return BlockCoefficients(tuple(sorted(blocks, key=lambda b: graded_key(b[0]))))
 
 
+def _as_entry(v, k: int) -> complex:
+    """A finite entry as a `complex`; a str, bool, None or a value that is not finite raises `InvariantError`."""
+    try:
+        if not isinstance(v, (bool, str)) and cmath.isfinite(z := complex(v)):
+            return z
+    except (TypeError, ValueError, OverflowError):  # None, or no number at all
+        pass
+    raise InvariantError(f"an entry of the matrix of block {k} is not a finite number")
+
+
 def heat_coefficient(R: RootSystem, spec: LaplacianSpec, lam: Weight, q, t: float) -> float:
     """e^{-t C(lam)}; equals 1 at t = 0 and at lam = 0."""
-    if t < 0:
-        raise InvariantError(f"heat time must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:  # NaN fails it too
+        raise InvariantError(f"heat time must be nonnegative and finite, got {t}")
     return math.exp(-t * q_laplacian_eigenvalue(R, spec, lam, q))
 
 

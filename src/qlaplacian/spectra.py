@@ -63,24 +63,38 @@ def _as_coefficient(a, k: int) -> Fraction:
     raise InvariantError(f"the coefficient of term {k} is not a finite real number")
 
 
+def _as_pair(a, k: int) -> tuple[Fraction, ...]:
+    """A real a as (a, 0), a `complex` or a tuple part by part, each part through `_as_coefficient`."""
+    parts = a if type(a) is tuple else (a.real, a.imag) if isinstance(a, complex) else (a, 0)
+    return tuple(_as_coefficient(x, k) for x in parts)
+
+
+def _check_exact(k: int, parts) -> None:
+    """Refuse a coefficient part that is not a `Fraction`, or that is not 0 and has float 0 or no float."""
+    for x in parts:
+        if type(x) is not Fraction:
+            raise InvariantError(f"the coefficient of term {k} is not a Fraction")
+        try:
+            if x and not float(x):
+                raise InvariantError(f"float underflow: a nonzero part of the coefficient of term {k} has float 0")
+        except OverflowError:
+            raise InvariantError(f"float overflow: the coefficient of term {k} is past the float range") from None
+
+
 class LaplacianSpec(_Record):
-    """The data (mu_1, a_1), ..., (mu_m, a_m) with distinct mu and `Fraction`s a_l > 0, float(a_l) != 0."""
+    """The data (mu_1, a_1), ..., (mu_m, a_m) with distinct mu and `Fraction`s a_l > 0 that floats can hold."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[Weight, Fraction], ...]):
-        mus = [mu for mu, _ in terms]
-        if len(set(mus)) != len(mus):
+        if len({mu for mu, _ in terms}) != len(terms):
             raise InvariantError("Laplacian terms must have pairwise distinct weights")
         for k, (mu, a) in enumerate(terms, 1):  # a refusal names a term by its position: digits may not print
             if not mu.is_dominant:
                 raise InvariantError(f"the weight of term {k} is not dominant integral")
-            if type(a) is not Fraction:
-                raise InvariantError(f"the coefficient of term {k} is not a Fraction")
+            _check_exact(k, (a,))
             if not a > 0:
                 raise InvariantError(f"the coefficient of term {k} is not positive")
-            if a < 1 and not float(a):
-                raise InvariantError("float underflow: a positive term coefficient has float 0")
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
@@ -91,24 +105,26 @@ class LaplacianSpec(_Record):
 
 
 class GeneralFunctionalSpec(_Record):
-    """Terms (zeta_l, mu_l, a_l) with distinct (zeta, mu) pairs and complex a."""
+    """Terms (zeta_l, mu_l, a_l) with distinct (zeta, mu) pairs and a_l an exact pair (re, im) of `Fraction`s."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[CenterElement, Weight, complex], ...]):
-        pairs = [(z, mu) for z, mu, _ in terms]
-        if len(set(pairs)) != len(pairs):
+    def __init__(self, terms: tuple[tuple[CenterElement, Weight, tuple[Fraction, Fraction]], ...]):
+        if len({(z, mu) for z, mu, _ in terms}) != len(terms):
             raise InvariantError("functional terms must have distinct (zeta, mu) pairs")
-        for k, (_, mu, _) in enumerate(terms, 1):
+        for k, (_, mu, a) in enumerate(terms, 1):
             if not mu.is_dominant:
                 raise InvariantError(f"the weight of term {k} is not dominant integral")
+            if type(a) is not tuple or len(a) != 2:
+                raise InvariantError(f"the coefficient of term {k} is not a pair (re, im)")
+            _check_exact(k, a)
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(triples) -> "GeneralFunctionalSpec":
-        return GeneralFunctionalSpec(tuple(
-            (z, mu if isinstance(mu, Weight) else Weight.of(mu), complex(a))
-            for z, mu, a in triples))
+        """Weights through `Weight.of`; a real a is (a, 0), and each part of a `complex` or a pair is read exactly."""
+        return GeneralFunctionalSpec(tuple((z, mu if isinstance(mu, Weight) else Weight.of(mu), _as_pair(a, k))
+                                           for k, (z, mu, a) in enumerate(triples, 1)))
 
 
 class SpectrumRow(NamedTuple):
@@ -160,7 +176,7 @@ def general_functional_eigenvalue(R: RootSystem, spec: GeneralFunctionalSpec, la
     """sum_l a_l e^{2 pi i (xi_l, lam)} C_{z_{mu_l}}(lam), phases from exact rationals."""
     log_q(q)
     total = 0j
-    for zeta, mu, a in spec.terms:
+    for zeta, mu, (re, im) in spec.terms:
         zeta = center_reduce(R, zeta.rep)
         frac = coweight_pairing(R, zeta, lam) % 1
         if frac == 0:
@@ -169,7 +185,7 @@ def general_functional_eigenvalue(R: RootSystem, spec: GeneralFunctionalSpec, la
             phase = -1.0 + 0j
         else:
             phase = cmath.exp(2j * math.pi * float(frac))
-        total += a * phase * casimir_eigenvalue(R, mu, lam, q)
+        total += complex(re, im) * phase * casimir_eigenvalue(R, mu, lam, q)
     return total
 
 

@@ -153,7 +153,8 @@ class _OtherText(str):
     pass
 
 
-@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", range(2), _OtherText("text")])
+# a complex value is one too: `fodc --term` writes a coefficient as {"re": p/q, "im": p/q} itself
+@pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", range(2), _OtherText("text"), 1j])
 def test_json_value_rejects_unknown_types(value):
     with pytest.raises(TypeError, match="cannot render"):
         _json_value(value, {})

@@ -9,6 +9,7 @@ wherever a calculus appears the program's `fodc_dimension`,
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -59,7 +60,7 @@ def assert_program_matches(r, idx):
 
 
 def assert_induced_matches(r, spec):
-    expected = FodcIndex.of(r, [(z, mu) for z, mu, a in spec.terms if a != 0]).nonzero_pairs
+    expected = FodcIndex.of(r, [(z, mu) for z, mu, a in spec.terms if any(a)]).nonzero_pairs
     assert induced_class(r, spec) == expected
 
 
@@ -178,6 +179,28 @@ def test_validate_functional_center_terms():
     assert not report.self_adjoint and not report.hermitian
     assert_induced_matches(A2, spec)
     assert_induced_matches(A2, lopsided)
+
+
+def test_functional_verdicts_compare_exact_coefficients():
+    # 1/3 and 0.33333333333333331 differ, though both have the float 0.3333333333333333
+    z = center_reduce(A2, [1, 0])
+    zminus = center_negate(A2, z)
+    mu = Weight.of([1, 0])
+    near = GeneralFunctionalSpec.of([(z, mu, Fraction(1, 3)), (zminus, mu, Fraction("0.33333333333333331"))])
+    assert float(Fraction("0.33333333333333331")) == 1 / 3
+    assert not validate_functional(A2, near).self_adjoint
+    exact = GeneralFunctionalSpec.of([(z, mu, Fraction(1, 3)), (zminus, mu, 1 / 3)])
+    assert not validate_functional(A2, exact).self_adjoint  # the float 1/3 is not 1/3
+    assert validate_functional(A2, GeneralFunctionalSpec.of([(z, mu, (1, 2)), (zminus, mu, 1 - 2j)])).self_adjoint
+    # a missing partner is (0, 0): a lone term with a zero coefficient is self-adjoint and leaves the class
+    z0 = zero(A2)
+    lone = GeneralFunctionalSpec.of([(z, mu, 0j), (z0, Weight.of([0, 1]), 1j), (z0, mu, 2)])
+    report = validate_functional(A2, lone)
+    assert not report.self_adjoint and not report.q_laplacian
+    assert [reason for reason in report.reasons if reason.startswith("self-adjointness")] == [
+        "self-adjointness fails at (zeta=0,0, mu=0,1): the (-zeta, mu) term must carry the conjugate coefficient"]
+    assert "not a q-deformed Laplacian: the coefficient at (zeta=0,0, mu=0,1) is not a positive real" in report.reasons
+    assert induced_class(A2, lone) == ((z0, Weight.of([0, 1])), (z0, mu))
 
 
 def test_faithfulness_per_factor():

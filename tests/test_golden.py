@@ -107,6 +107,9 @@ CASES = {
     "fodc_validate_a3_unpartnered": (["fodc", "--type", "A3", "--term", "mu=1,0,0:a=1:zeta=1,0,0"], {}),
     "fodc_validate_a3_partners": (["fodc", "--type", "A3", "--term", "mu=1,0,0:a=1:zeta=1,0,0",
                                    "--term", "mu=1,0,0:a=1:zeta=3,0,0"], {}),
+    # fodc validation: the coefficients 1/3 and 0.33333333333333331 differ, though their floats are equal
+    "fodc_validate_a2_near_third": (["fodc", "--type", "A2", "--term", "mu=1,0:zeta=1,0:a=1/3",
+                                     "--term", "mu=1,0:zeta=2,0:a=0.33333333333333331"], {}),
     # heat
     "heat_a1": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "2",
                  "--t-grid", "1,50"], {}),

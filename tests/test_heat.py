@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -41,6 +43,17 @@ def test_heat_coefficient_examples():
         heat_coefficient(A1, SPEC, Weight.of([1]), 0.5, -0.1)
 
 
+def test_heat_time_must_be_nonnegative_and_finite():
+    # t = inf gave nan at lam = 0, where the value is 1, and t = NaN gave nan at every lam
+    for t in (math.inf, math.nan, -math.inf, -0.1):
+        for lam in (Weight.zero(1), Weight.of([1])):
+            with pytest.raises(InvariantError, match="^heat time must be nonnegative and finite, got "):
+                heat_coefficient(A1, SPEC, lam, 0.5, t)
+        with pytest.raises(InvariantError, match="^heat time must be nonnegative and finite, got "):
+            apply_heat(A1, SPEC, BlockCoefficients.of(A1, {(0,): [[5]]}), 0.5, t)
+    assert heat_coefficient(A1, SPEC, Weight.zero(1), 0.5, sys.float_info.max) == 1.0
+
+
 def test_apply_heat_examples():
     zero_block = BlockCoefficients.of(A1, {(1,): [[0, 0], [0, 0]]})
     out = apply_heat(A1, SPEC, zero_block, 0.5, 3.0)
@@ -78,6 +91,16 @@ def test_block_shape_validation():
         BlockCoefficients.of(A1, {(1,): [[1]]})  # dim V(w1) = 2
     with pytest.raises(InvariantError):
         BlockCoefficients.of(A1, [((1,), [[1, 0], [0, 1]]), ((1,), [[2, 0], [0, 2]])])
+
+
+def test_block_entries_are_finite_numbers():
+    for bad in ["x", "1+2j", None, True, math.nan, -math.inf, complex(1, math.inf), Decimal("NaN"),
+                Fraction(10**400), b"1"]:
+        with pytest.raises(InvariantError, match="^an entry of the matrix of block 2 is not a finite number$"):
+            BlockCoefficients.of(A1, [((0,), [[1]]), ((1,), [[1, 0], [0, bad]])])
+    # entries stay floats
+    coeffs = BlockCoefficients.of(A1, [((0,), [[Fraction(1, 2)]]), ((1,), [[1, Decimal("0.25")], [2.5, 1j]])])
+    assert coeffs.blocks == ((Weight((0,)), ((0.5 + 0j,),)), (Weight((1,)), ((1 + 0j, 0.25 + 0j), (2.5 + 0j, 1j))))
 
 
 def test_heat_trace_examples():

@@ -94,17 +94,24 @@ def test_laplacian_spec_refuses_a_coefficient_whose_float_is_zero():
             make(Fraction(1, 10**400))
         with pytest.raises(InvariantError, match="^float underflow: "):
             make(Fraction(1, 2**1075))
-    # the least positive float is kept, and so is an exact coefficient past the float range
+    # the least positive float is kept; an exact coefficient past the float range is refused
     assert LaplacianSpec.of([((1,), Fraction(2**-1074))]).terms[0][1] == Fraction(1, 2**1074)
-    huge = LaplacianSpec.of([((1,), Fraction(10**400))])
+    for make in (lambda a: LaplacianSpec.of([((1,), a)]), lambda a: LaplacianSpec(((Weight((1,)), a),))):
+        with pytest.raises(InvariantError, match="^float overflow: the coefficient of term 1 is past the float range$"):
+            make(Fraction(10**400))
+    # the largest float is kept, so an exact coefficient of that size still has its exact limit
+    top = LaplacianSpec.of([((1,), Fraction(sys.float_info.max))])
     R = build_root_system(["A1"])
-    assert classical_laplacian_eigenvalue(R, huge, Weight((1,))) == 10**400 * \
+    assert classical_laplacian_eigenvalue(R, top, Weight((1,))) == Fraction(sys.float_info.max) * \
         classical_laplacian_eigenvalue(R, LaplacianSpec.of([((1,), 1)]), Weight((1,)))
 
 
 def test_a_refused_coefficient_too_long_to_print_is_named_by_its_term():
     # str() of a Fraction of more than 4300 digits raises ValueError; the refusal prints none of them
     with pytest.raises(InvariantError, match="^the coefficient of term 1 is not positive$"):
+        LaplacianSpec.of([((1,), Fraction(-10**5000 - 1, 10**5000))])
+    # the float check comes first: -1/10^5000 is refused as a float underflow
+    with pytest.raises(InvariantError, match="^float underflow: a nonzero part of the coefficient of term 1 "):
         LaplacianSpec.of([((1,), Fraction(-1, 10**5000))])
 
 

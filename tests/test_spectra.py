@@ -1,15 +1,17 @@
 import math
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from oracles import apply_w0, reference_witness, rho
+from oracles import apply_w0, fundamental, reference_witness, rho
 from qlaplacian.cartan import (
     Weight,
     build_root_system,
     center_reduce,
+    enumerate_dominant,
     inner_product,
     minus_w0,
     parse_type_label,
@@ -38,7 +40,7 @@ from qlaplacian.spectra import (
     qms_witness,
     spectrum_scan,
 )
-from qlaplacian.weights import weight_system
+from qlaplacian.weights import pairings, weight_system
 
 
 def R(label):
@@ -216,6 +218,87 @@ def test_general_functional_spec_validation():
     with pytest.raises(InvariantError):
         general_functional_eigenvalue(
             A2, GeneralFunctionalSpec.of([(z0, Weight.of([1, 0]), 1)]), Weight.of([1]), 0.5)
+
+
+def test_general_functional_coefficients_are_read_exactly():
+    z0 = center_reduce(A2, [0, 0])
+    mu = Weight.of([1, 0])
+    for bad in ["1+2j", "x", None, True, complex("nan"), complex(math.inf), complex(1, -math.inf), math.nan,
+                (1, "2")]:
+        with pytest.raises(InvariantError, match="^the coefficient of term 2 is not a finite real number$"):
+            GeneralFunctionalSpec.of([(z0, Weight.of([0, 1]), 1), (z0, mu, bad)])
+    # a real a is (a, 0); each part of a complex or of a pair is the Fraction of its value
+    spec = GeneralFunctionalSpec.of([(z0, mu, 0.1 - 2.5j), (z0, Weight.of([0, 1]), (Fraction(1, 3), Decimal("0.5"))),
+                                     (z0, Weight.of([1, 1]), 2)])
+    assert [a for *_, a in spec.terms] == [(Fraction(0.1), Fraction(-5, 2)), (Fraction(1, 3), Fraction(1, 2)),
+                                           (Fraction(2), Fraction(0))]
+    assert all(type(x) is Fraction for *_, a in spec.terms for x in a)
+
+
+@pytest.mark.parametrize("a", [1 / 3 + 0.1j, 1e-300 - 1e300j, 0.75 + 0j, -2.5j], ids=repr)
+def test_a_float_complex_coefficient_gives_the_values_of_its_parts(a):
+    """float(Fraction(x)) == x, so the exact parts give the float value a * phase * C, bit for bit."""
+    z0, z = center_reduce(A2, [0, 0]), center_reduce(A2, [1, 0])
+    mu = Weight.of([1, 0])
+    for zeta in (z0, z):
+        spec = GeneralFunctionalSpec.of([(zeta, mu, a)])
+        twin = GeneralFunctionalSpec.of([(zeta, mu, (Fraction(a.real), Fraction(a.imag)))])
+        assert spec == twin
+        for lam in (Weight.of([0, 0]), Weight.of([1, 0]), Weight.of([2, 1])):
+            for q in (0.37, 0.9):
+                got = general_functional_eigenvalue(A2, spec, lam, q)
+                assert got == general_functional_eigenvalue(A2, twin, lam, q)
+                if zeta == z0:  # phase 1
+                    assert got == a * (1.0 + 0j) * casimir_eigenvalue(A2, mu, lam, q)
+
+
+def test_general_functional_spec_takes_only_exact_pairs():
+    z0 = center_reduce(A2, [0, 0])
+    mu = Weight.of([1, 0])
+    for bad in [1, Fraction(1), 1 + 2j, (Fraction(1),), (Fraction(1), Fraction(0), Fraction(0)),
+                [Fraction(1), Fraction(0)]]:
+        with pytest.raises(InvariantError, match=r"^the coefficient of term 1 is not a pair \(re, im\)$"):
+            GeneralFunctionalSpec(((z0, mu, bad),))
+    for bad in [(Fraction(1), 0), (1.0, Fraction(0)), (Fraction(1), Decimal(0))]:
+        with pytest.raises(InvariantError, match="^the coefficient of term 1 is not a Fraction$"):
+            GeneralFunctionalSpec(((z0, mu, bad),))
+    # a bad weight is refused before a bad coefficient
+    with pytest.raises(InvariantError, match="^the weight of term 1 is not dominant integral$"):
+        GeneralFunctionalSpec(((z0, Weight((-1, 0)), 1.5),))
+    # the check `LaplacianSpec` makes too: no nonzero part whose float is 0 or past the float range
+    for make in (lambda a: GeneralFunctionalSpec.of([(z0, mu, a)]), lambda a: GeneralFunctionalSpec(((z0, mu, a),))):
+        for bad in [(Fraction(1), Fraction(1, 10**400)), (Fraction(1, 2**1075), Fraction(0))]:
+            with pytest.raises(InvariantError, match="^float underflow: a nonzero part of the coefficient of term 1 "):
+                make(bad)
+        for bad in [(Fraction(10**400), Fraction(0)), (Fraction(0), Fraction(-2**1024))]:
+            with pytest.raises(InvariantError, match="^float overflow: the coefficient of term 1 is past the float "):
+                make(bad)
+        # the least positive float and the largest one are kept
+        edge = (Fraction(2**-1074), Fraction(-sys.float_info.max))
+        assert make(edge).terms[0][2] == edge
+
+
+@pytest.mark.parametrize("label", ["A2", "A3", "E6", "D5"])
+def test_a_term_and_its_dual_give_one_spectrum(label):
+    """C_mu(lam) = C_mu*(lam) for mu* = -w0 mu: the weights of V(mu*) are those of V(mu) negated, and
+    [x]_q^2 is even.  So a scan takes any positive family, whether it is -w0-closed or not."""
+    r = R(label)
+    q, eps = 0.6, sys.float_info.epsilon
+    duals = [(mu, minus_w0(r, mu)) for mu in (fundamental(r.rank, j) for j in range(1, r.rank + 1))
+             if minus_w0(r, mu) != mu]
+    assert duals
+    for mu, dual in duals:
+        spec, twin = LaplacianSpec.of([(mu, 1)]), LaplacianSpec.of([(dual, 1)])
+        for lam in enumerate_dominant(r, 6):
+            assert classical_laplacian_eigenvalue(r, spec, lam) == classical_laplacian_eigenvalue(r, twin, lam)
+            # both sides add the same n terms t in another order: recursive summation errs by at most
+            # (n - 1) (eps / 2) sum |t| on each side (Higham 2002, 4.2); as much again covers a term
+            # whose sinh of -x is not exactly -sinh(x)
+            D = r.denominator
+            terms = [mult * (q_number(Fraction(x, D), q) ** 2 - q_number(Fraction(y, D), q) ** 2)
+                     for mult, x, y in pairings(r, weight_system(r, mu).rows, lam)]
+            tol = 2 * (len(terms) - 1) * eps * sum(map(abs, terms))
+            assert abs(q_laplacian_eigenvalue(r, spec, lam, q) - q_laplacian_eigenvalue(r, twin, lam, q)) <= tol
 
 
 def test_dynkin_index_examples_and_theta_independence():
