@@ -305,6 +305,16 @@ def _plate(t: SimpleType) -> tuple[list[list[int]], list[int], tuple[int, ...], 
     return a, d, center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
 
 
+def _positive_rational(value, what: str) -> Fraction:
+    """`value` read exactly, if it is a positive rational; any other value raises `InvariantError`."""
+    try:  # None, NaN, an infinity, "1/0" and a string of too many digits fail in Fraction
+        if (value := Fraction(value)) > 0:
+            return value
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        pass
+    raise InvariantError(f"{what} must be a positive rational")
+
+
 # The build costs one fraction-free elimination per simple factor (rank^3 integer steps) and
 # O(positive roots x rank) integer steps; at these caps the largest label of each shape
 # (A44, B31, C31, D32, A1^128, G2^64, E8^8) builds in under 0.03 s, A44 the slowest
@@ -326,9 +336,7 @@ def build_root_system(factors: Sequence[SimpleType | str], scale=1) -> RootSyste
         raise InvariantError("a root system needs at least one simple factor")
     parsed = tuple(simple for f in factors
                    for simple in ((f,) if isinstance(f, SimpleType) else parse_type_label(f)))
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise InvariantError("the global form scale must be a positive rational")
+    scale = _positive_rational(scale, "the global form scale")
 
     # the rank first, from the labels alone: a table costs O(rank), and the sum may have
     # more digits than an int may print
@@ -542,20 +550,17 @@ ROW_CAP_ENV = "QLAP_ROW_CAP"
 DEFAULT_ROW_CAP = 100000
 
 
-def resolve_row_cap(explicit: int | None) -> int:
-    """The row cap: `explicit` if given, else $QLAP_ROW_CAP, else DEFAULT_ROW_CAP.
-
-    Scans pass their `--row-cap`; `center` and weight systems pass None.
-    """
-    if explicit is None:
-        text = os.environ.get(ROW_CAP_ENV, str(DEFAULT_ROW_CAP))
-        try:
-            explicit = int(text)
-        except ValueError as exc:
-            raise UsageError(f"{ROW_CAP_ENV}={text!r} is not an integer") from exc
-    if explicit < 0:
-        raise UsageError(f"the row cap must be nonnegative, got {explicit}")
-    return explicit
+def resolve_row_cap() -> int:
+    """$QLAP_ROW_CAP, else DEFAULT_ROW_CAP: it bounds the blocks of a norm ball, the weights of a
+    weight system, the classes of the center and the calculi of an enumeration, read as each starts."""
+    text = os.environ.get(ROW_CAP_ENV, str(DEFAULT_ROW_CAP))
+    try:
+        cap = int(text)
+    except ValueError as exc:
+        raise UsageError(f"{ROW_CAP_ENV}={text!r} is not an integer") from exc
+    if cap < 0:
+        raise UsageError(f"the row cap must be nonnegative, got {cap}")
+    return cap
 
 
 def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],
@@ -587,16 +592,14 @@ def walk_dominant(R: RootSystem, inside: Callable[[list[int]], bool],
     return found
 
 
-def enumerate_dominant(R: RootSystem, radius, max_rows: int | None = None) -> list[Weight]:
-    """All dominant integral weights with (x, x) <= radius, in graded-lex order.
+def enumerate_dominant(R: RootSystem, radius) -> list[Weight]:
+    """All dominant integral weights with (x, x) <= radius, in graded-lex order, under the row cap.
 
     Finiteness comes from positive definiteness of the Gram matrix; all of its
     entries are nonnegative, so the norm is monotone in each coordinate.  Each
     probe compares the integer D (x, x) = x . (D G x) with floor(D radius).
     """
-    radius = Fraction(radius)
-    if radius <= 0:
-        raise InvariantError("radius must be a positive rational")
+    cap = resolve_row_cap()
+    radius = _positive_rational(radius, "radius")
     form, bound = R.form, radius.numerator * R.denominator // radius.denominator
-    return walk_dominant(R, lambda x: sum(a * sum(map(mul, line, x)) for a, line in zip(x, form)) <= bound,
-                         max_rows)
+    return walk_dominant(R, lambda x: sum(a * sum(map(mul, line, x)) for a, line in zip(x, form)) <= bound, cap)

@@ -31,7 +31,6 @@ from .cartan import (
 )
 from .errors import InvariantError, ResourceCapError, UsageError
 from .fodc import (
-    DEFAULT_INDEX_CAP,
     Pair,
     admits_star_structure,
     enumerate_fodc_indices,
@@ -259,7 +258,7 @@ def _cmd_spectrum(args, R: RootSystem) -> dict:
     spec = _laplacian_spec(R, args.term)
     log_q(args.q)
     radius = _parse_rational(args.radius, "radius")
-    rows = spectrum_scan(R, spec, args.q, radius, row_cap=args.row_cap)
+    rows = spectrum_scan(R, spec, args.q, radius)
     bound = lower_bound(R, spec, args.q)
     best = min(rows, key=lambda r: r.eigenvalue)
     return {
@@ -277,7 +276,7 @@ def _cmd_limit(args, R: RootSystem) -> dict:
     spec = _laplacian_spec(R, args.term)
     radius = _parse_rational(args.radius, "radius")
     rows = []
-    for lam in enumerate_dominant(R, radius, max_rows=resolve_row_cap(args.row_cap)):
+    for lam in enumerate_dominant(R, radius):
         classical = classical_laplacian_eigenvalue(R, spec, lam)
         errors = [abs(q_laplacian_eigenvalue(R, spec, lam, q) - float(classical))
                   for q in LIMIT_LADDER]
@@ -317,11 +316,8 @@ def _cmd_witness(args, R: RootSystem) -> dict:
 
 
 def _cmd_fodc(args, R: RootSystem) -> dict:
-    if args.term and (args.max_height, args.include_center, args.index_cap) != (None, False, None):
-        raise UsageError("fodc --term (validate) takes no --max-height, --include-center or --index-cap")
-    cap = DEFAULT_INDEX_CAP if args.index_cap is None else args.index_cap
-    if cap < 0:
-        raise UsageError(f"--index-cap must be nonnegative, got {cap}")
+    if args.term and (args.max_height, args.include_center) != (None, False):
+        raise UsageError("fodc --term (validate) takes no --max-height or --include-center")
     if args.term:
         triples = [_parse_term(text, R.rank) for text in args.term]
         spec = GeneralFunctionalSpec.of([(center_reduce(R, zeta or [0] * R.rank), mu, a) for zeta, mu, a in triples])
@@ -336,7 +332,7 @@ def _cmd_fodc(args, R: RootSystem) -> dict:
         }
     if args.max_height is None:
         raise UsageError("fodc needs either --term (validate) or --max-height (enumerate)")
-    calculi = enumerate_fodc_indices(R, args.max_height, args.include_center, max_indices=cap)
+    calculi = enumerate_fodc_indices(R, args.max_height, args.include_center)
     # the pair-list text by the enumeration's recurrence: calculus m | 1 << k lists the pairs of
     # calculus m, then pair k, the lone pair of calculus 1 << k (`_render` turns CSV's "," into ";")
     as_json = args.format == "json"
@@ -362,7 +358,7 @@ def _cmd_heat(args, R: RootSystem) -> dict:
         grid = [float(part) for part in args.t_grid.split(",")]
     except ValueError as exc:
         raise UsageError(f"cannot parse t grid {args.t_grid!r}") from exc
-    results = heat_trace_report(R, spec, args.q, grid, radius, row_cap=args.row_cap)
+    results = heat_trace_report(R, spec, args.q, grid, radius)
     rows = [{"t": t, "trace": trace, "truncation_estimate": trunc}
             for t, (trace, trunc) in zip(grid, results)]
     verdict = markov_verdict(R, spec, args.q)
@@ -376,7 +372,7 @@ def _cmd_heat(args, R: RootSystem) -> dict:
 
 
 def _cmd_center(args, R: RootSystem) -> dict:
-    order, cap = center_order(R), resolve_row_cap(None)
+    order, cap = center_order(R), resolve_row_cap()
     if order > cap:
         raise ResourceCapError(f"center group of order {order} exceeds the row cap of {cap}")
     group = center_group(R)
@@ -419,7 +415,6 @@ def _build_parser() -> _Parser:
                            help="spec term, e.g. mu=1,0:a=1 or mu=1,0:a=1:zeta=0,0")
         if radius:
             p.add_argument("--radius", required=True, help="norm-ball radius, rational like 2 or 8/3")
-            p.add_argument("--row-cap", type=int, default=None, help="override the scan row cap")
 
     p = sub.add_parser("spectrum", help="eigenvalue scan with lower bound and argmin")
     common(p, q=True, terms=True, radius=True)
@@ -438,8 +433,6 @@ def _build_parser() -> _Parser:
     common(p, terms=True)
     p.add_argument("--max-height", type=int, default=None)
     p.add_argument("--include-center", action="store_true")
-    p.add_argument("--index-cap", type=int, default=None,
-                   help=f"at most this many calculi (default {DEFAULT_INDEX_CAP})")
     p.set_defaults(fn=_cmd_fodc)
 
     p = sub.add_parser("heat", help="truncated heat trace over a time grid")

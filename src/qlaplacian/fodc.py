@@ -24,14 +24,13 @@ from .cartan import (
     graded_key,
     is_half_coroot,
     minus_w0,
+    resolve_row_cap,
     untouched_factors,
     walk_dominant,
 )
 from .errors import InvariantError, ResourceCapError
 from .spectra import GeneralFunctionalSpec
 from .weights import dim_irrep
-
-DEFAULT_INDEX_CAP = 65536
 
 
 class Pair(NamedTuple):
@@ -132,24 +131,25 @@ def validate_functional(R: RootSystem, spec: GeneralFunctionalSpec) -> Functiona
                             q_laplacian=q_laplacian, reasons=tuple(reasons))
 
 
-def enumerate_fodc_indices(R: RootSystem, max_height: int, include_center: bool,
-                           max_indices: int = DEFAULT_INDEX_CAP) -> tuple[tuple[tuple[Pair, ...], int, bool], ...]:
+def enumerate_fodc_indices(R: RootSystem, max_height: int,
+                           include_center: bool) -> tuple[tuple[tuple[Pair, ...], int, bool], ...]:
     """All calculi built from pairs (zeta, mu) with height(mu) <= max_height.
 
     Each calculus is a (pairs, dimension, star_admissible) triple.  Subsets of
     the pair pool are emitted in bitmask order, beginning with the zero
     calculus; (0, 0) is excluded from the pool since it only names the zero
-    summand.  The weight walk stops as soon as the pool would hold more than
-    log2(max_indices) pairs, so the cap is checked before the work.
+    summand.  The weight walk stops as soon as the pool would hold more
+    pairs than log2 of the row cap, so the cap is checked before the work.
     """
     if max_height < 0:
         raise InvariantError("max_height must be nonnegative")
+    cap = resolve_row_cap()
     # 2^(|zetas| * |mus| - 1) calculi fit under the cap iff |zetas| * |mus| <= its bit length
-    max_mus = max(max_indices, 0).bit_length() // (center_order(R) if include_center else 1)
+    max_mus = cap.bit_length() // (center_order(R) if include_center else 1)
     try:
         mus = walk_dominant(R, lambda coords: sum(coords) <= max_height, max_rows=max_mus)
     except ResourceCapError:
-        raise ResourceCapError(f"enumeration exceeds the cap of {max_indices} calculi") from None
+        raise ResourceCapError(f"enumeration exceeds the cap of {cap} calculi") from None
     zetas = center_group(R).representatives if include_center else (center_reduce(R, [0] * R.rank),)
     # zetas come sorted by (sum, rep) and mus in graded-lex order, both from zero: their product is
     # in `_pair_key` order with (0, 0) first, which the slice drops

@@ -67,6 +67,7 @@ def apply_heat(R: RootSystem, spec: LaplacianSpec, coeffs: BlockCoefficients,
                q, t: float) -> BlockCoefficients:
     """Scale every block by its heat coefficient; the support is unchanged."""
     log_q(q)
+    heat_coefficient(R, spec, Weight.zero(R.rank), q, t)  # checks t once, even with no block to scale
     out = []
     for lam, matrix in coeffs.blocks:
         c = heat_coefficient(R, spec, lam, q, t)
@@ -74,14 +75,13 @@ def apply_heat(R: RootSystem, spec: LaplacianSpec, coeffs: BlockCoefficients,
     return BlockCoefficients(tuple(out))
 
 
-def heat_trace(R: RootSystem, spec: LaplacianSpec, q, t: float, radius,
-               row_cap: int | None = None) -> float:
+def heat_trace(R: RootSystem, spec: LaplacianSpec, q, t: float, radius) -> float:
     """Truncated trace sum n_lam^2 e^{-t C(lam)} over (lam, lam) <= radius."""
-    return heat_trace_report(R, spec, q, [t], radius, row_cap=row_cap)[0][0]
+    return heat_trace_report(R, spec, q, [t], radius)[0][0]
 
 
-def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float], radius,
-                      row_cap: int | None = None) -> list[tuple[float, float]]:
+def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float],
+                      radius) -> list[tuple[float, float]]:
     """One (trace, truncation estimate) pair per time in `ts`, from a single scan.
 
     The estimate is n_max^2 e^{-t C_min} taken on the outermost shell of the
@@ -96,7 +96,7 @@ def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float]
     if missed:
         raise InvariantError(f"the heat trace is infinite: no term weight touches factor "
                              f"{missed[0] + 1} ({R.factors[missed[0]]})")
-    rows = spectrum_scan(R, spec, q, radius, row_cap=row_cap)
+    rows = spectrum_scan(R, spec, q, radius)
     norms = [sum(map(mul, r.lam.coords, R.row(r.lam))) for r in rows]  # D (lam, lam), as in the ball test
     boundary_norm = max(norms)
     shell = [r for r, norm in zip(rows, norms) if norm == boundary_norm]

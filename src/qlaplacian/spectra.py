@@ -30,7 +30,6 @@ from .cartan import (
     enumerate_dominant,
     inner_product,
     minus_w0,
-    resolve_row_cap,
 )
 from .errors import InvariantError
 from .weights import dim_irrep, pairings, weight_system
@@ -244,19 +243,15 @@ def qms_witness(R: RootSystem, mu: Weight, q) -> float:
     return prefactor * total
 
 
-def spectrum_scan(R: RootSystem, spec: LaplacianSpec, q, radius,
-                  row_cap: int | None = None) -> list[SpectrumRow]:
+def spectrum_scan(R: RootSystem, spec: LaplacianSpec, q, radius) -> list[SpectrumRow]:
     """One row per dominant weight with (lam, lam) <= radius, graded-lex order."""
     log_q(q)
-    lams = enumerate_dominant(R, radius, max_rows=resolve_row_cap(row_cap))
     return [SpectrumRow(lam=lam, dim=dim_irrep(R, lam),
                         eigenvalue=q_laplacian_eigenvalue(R, spec, lam, q))
-            for lam in lams]
+            for lam in enumerate_dominant(R, radius)]
 
 
-def nonnegativity_scan(R: RootSystem, spec: LaplacianSpec, q, radius,
-                       row_cap: int | None = None) -> tuple[float, Weight]:
+def nonnegativity_scan(R: RootSystem, spec: LaplacianSpec, q, radius) -> tuple[float, Weight]:
     """Minimum scanned eigenvalue and the first weight attaining it."""
-    rows = spectrum_scan(R, spec, q, radius, row_cap=row_cap)
-    best = min(rows, key=lambda r: r.eigenvalue)
+    best = min(spectrum_scan(R, spec, q, radius), key=lambda r: r.eigenvalue)
     return best.eigenvalue, best.lam

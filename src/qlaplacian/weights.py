@@ -100,7 +100,7 @@ def _dominant_weights(R: RootSystem, mu: Weight, roots) -> set[Weight]:
     The descent adds up their orbit sizes as it finds them, and raises
     `ResourceCapError` once the sum passes the row cap.
     """
-    cap = resolve_row_cap(None)
+    cap = resolve_row_cap()
     found = {mu}
     stack = [mu]
     size = 0

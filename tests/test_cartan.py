@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -397,13 +398,35 @@ def test_enumerate_dominant_is_exactly_the_norm_ball():
             assert (lam in got) == (below == 0), (label, radius)
 
 
-def test_enumerate_dominant_guards():
+def test_enumerate_dominant_guards(monkeypatch):
     a1 = R("A1")
     with pytest.raises(InvariantError):
         enumerate_dominant(a1, 0)
+    monkeypatch.setenv("QLAP_ROW_CAP", "5")
     with pytest.raises(ResourceCapError) as err:
-        enumerate_dominant(a1, 10000, max_rows=5)
+        enumerate_dominant(a1, 10000)
     assert "5" in str(err.value)
+    # a library call is capped by default too: A1 has 100,001 dominant weights up to norm 5 * 10^9
+    monkeypatch.delenv("QLAP_ROW_CAP")
+    with pytest.raises(ResourceCapError, match="row cap of 100000$"):
+        enumerate_dominant(a1, 5 * 10**9)
+
+
+# values that are not positive rationals; a string of 5000 digits is past what Python reads as an int
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "x", "1/0",
+                                   pytest.param("-" + "9" * 5000, id="5000_digits"),
+                                   0, -1, Fraction(-1, 3), Decimal("NaN"), Decimal("Infinity"), 1j])
+def test_radius_and_scale_must_be_positive_rationals(value):
+    with pytest.raises(InvariantError, match="^radius must be a positive rational$"):
+        enumerate_dominant(R("A1"), value)
+    with pytest.raises(InvariantError, match="^the global form scale must be a positive rational$"):
+        build_root_system(["A1"], scale=value)
+
+
+@pytest.mark.parametrize("value", [8, Fraction(8, 3), 2.5, Decimal("2.5"), "8/3"])
+def test_radius_and_scale_read_exactly(value):
+    assert enumerate_dominant(R("A1"), value) == enumerate_dominant(R("A1"), Fraction(value))
+    assert build_root_system(["A1"], scale=value).scale == Fraction(value)
 
 
 def test_weight_serialization_round_trip():

@@ -181,14 +181,16 @@ def test_limit_command(capsys):
         assert row["err_0.999"] < row["err_0.99"] < row["err_0.9"]
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, monkeypatch):
     code, _, err = run(capsys, "center", "--type", "Q7")
     assert code == 1 and "malformed" in err
     code, _, err = run(capsys, "center", "--type", "C2")
     assert code == 2 and "invariant" in err
+    monkeypatch.setenv("QLAP_ROW_CAP", "3")
     code, _, err = run(capsys, "spectrum", "--type", "A1", "--term", "mu=1:a=1",
-                       "--q", "0.5", "--radius", "100000", "--row-cap", "3")
+                       "--q", "0.5", "--radius", "100000")
     assert code == 3 and "cap" in err
+    monkeypatch.delenv("QLAP_ROW_CAP")
     code, _, err = run(capsys, "spectrum", "--type", "A1", "--q", "0.5", "--radius", "2")
     assert code == 1  # missing --term
     code, _, err = run(capsys, "spectrum", "--type", "A1", "--term", "mu=1:a=1",
@@ -204,9 +206,17 @@ def test_exit_codes(capsys):
     for label, height in (("A1", "20000"), ("E8", "60")):  # capped before the pool is built
         code, out, err = run(capsys, "fodc", "--type", label, "--max-height", height)
         assert (code, out) == (3, "") and err.startswith("resource cap:")
-    for argv in (("center", "--type", "A2"), ("weights", "--type", "A2", "--mu", "1,0")):
-        code, _, err = run(capsys, *argv, "--row-cap", "5")  # only scanning commands take it
-        assert code == 1 and err.startswith("usage error:")
+    # $QLAP_ROW_CAP is the one way to set the cap: no command takes a cap option
+    for argv in (("spectrum", "--type", "A1", "--term", "mu=1:a=1", "--q", "0.5", "--radius", "2"),
+                 ("limit", "--type", "A1", "--term", "mu=1:a=1", "--radius", "2"),
+                 ("heat", "--type", "A1", "--term", "mu=1:a=1", "--q", "0.5", "--radius", "2"),
+                 ("witness", "--type", "A1", "--mu", "1", "--q", "0.5"),
+                 ("fodc", "--type", "A2", "--max-height", "1"), ("fodc", "--type", "A2", "--term", "mu=1,0"),
+                 ("center", "--type", "A2"), ("weights", "--type", "A2", "--mu", "1,0")):
+        assert run(capsys, *argv)[0] == 0
+        for flag in ("--row-cap", "--index-cap"):
+            code, out, err = run(capsys, *argv, flag, "5")
+            assert (code, out) == (1, "") and err.startswith("usage error: unrecognized arguments: " + flag)
 
 
 def test_row_cap_env_variable(capsys, monkeypatch):

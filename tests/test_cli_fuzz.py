@@ -1,15 +1,16 @@
 """Grammar fuzz test: every drawn `qlap` invocation ends in a documented exit code.
 
 Draws argument vectors for every command: `spectrum`, `witness`, `heat` and
-`limit` with extreme q values, coefficients, radii, times and row caps (flag
-and $QLAP_ROW_CAP); `fodc` validation with rational and complex coefficients
-(non-finite ones included) and enumeration with small heights and caps;
-`center` on good and bad labels; `weights` with coordinates in 0..2 on labels
-of rank at most 4.  Each invocation runs in JSON and in CSV.  Each run must
-exit 0, 1, 2 or 3 and print no traceback, and both formats must end in the
-same exit code.  On success JSON output must be strict (`inf` and `nan` are
-rejected) and CSV output must name no non-finite number.  The search is
-derandomized and bounded, so the test is deterministic.
+`limit` with extreme q values, coefficients, radii and times; `fodc`
+validation with rational and complex coefficients (non-finite ones included)
+and enumeration with small heights; `center` on good and bad labels;
+`weights` with coordinates in 0..2 on labels of rank at most 4.  Every
+invocation sets $QLAP_ROW_CAP to a drawn cap or leaves it unset, and runs in
+JSON and in CSV.  Each run must exit 0, 1, 2 or 3 and print no traceback,
+and both formats must end in the same exit code.  On success JSON output
+must be strict (`inf` and `nan` are rejected) and CSV output must name no
+non-finite number.  The search is derandomized and bounded, so the test is
+deterministic.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ def invocations(draw):
         for mu in sorted({_vector(draw, rank) for _ in range(draw(st.integers(1, 2)))}):
             argv += ["--term", f"mu={mu}:a={draw(_number(COEFF_TEXTS))}"]
         argv += ["--radius", draw(st.sampled_from(RADIUS_TEXTS))]
-        if draw(st.booleans()):
-            argv += ["--row-cap", draw(st.sampled_from(CAP_TEXTS))]
     if command != "limit":
         argv += ["--q", draw(_number(Q_TEXTS))]
     if command == "heat":
@@ -95,8 +94,6 @@ def report_invocations(draw):
         argv += ["--max-height", str(draw(st.integers(-1, 1)))]
         if draw(st.booleans()):
             argv += ["--include-center"]
-        if draw(st.booleans()):
-            argv += ["--index-cap", draw(st.sampled_from(CAP_TEXTS))]
     elif command == "fodc":
         for _ in range(draw(st.integers(1, 3))):
             term = f"mu={_vector(draw, rank)}"
@@ -105,7 +102,7 @@ def report_invocations(draw):
             if draw(st.booleans()):
                 term += f":zeta={_vector(draw, rank, lo=0)}"
             argv += ["--term", term]
-    return argv, None
+    return argv, draw(st.one_of(st.none(), st.sampled_from(CAP_TEXTS)))
 
 
 def _reject_constant(name):

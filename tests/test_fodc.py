@@ -268,8 +268,9 @@ def test_enumeration_examples():
     assert len(calculi) == 1 and calculi[0][1] == 0
 
 
-def test_enumeration_annotations_and_cap():
-    a2 = enumerate_fodc_indices(A2, 1, include_center=True, max_indices=1 << 9)
+def test_enumeration_annotations_and_cap(monkeypatch):
+    monkeypatch.setenv("QLAP_ROW_CAP", str(1 << 9))
+    a2 = enumerate_fodc_indices(A2, 1, include_center=True)
     assert len(a2) == 2 ** 8  # 3 classes x 3 weights minus (0,0)
     # A3: the center is Z4, class 2 is half a coroot and classes 1 and 3 are partners
     a3 = enumerate_fodc_indices(R("A3"), 0, include_center=True)
@@ -279,18 +280,29 @@ def test_enumeration_annotations_and_cap():
             idx = FodcIndex(pairs)
             assert dimension == reference_fodc_dimension(r, idx)
             assert star_admissible == reference_star_structure(r, idx).admissible
+    monkeypatch.setenv("QLAP_ROW_CAP", "100")
     with pytest.raises(ResourceCapError) as err:
-        enumerate_fodc_indices(A2, 1, include_center=True, max_indices=100)
+        enumerate_fodc_indices(A2, 1, include_center=True)
     assert "100" in str(err.value)
     # the cap is exact (2^8 calculi pass at 256, not at 255) and is hit while
     # the weight pool is collected, before an astronomical count is formed
-    assert len(enumerate_fodc_indices(A2, 1, include_center=True, max_indices=256)) == 256
+    monkeypatch.setenv("QLAP_ROW_CAP", "256")
+    assert len(enumerate_fodc_indices(A2, 1, include_center=True)) == 256
     for r, height, cap in ((A2, 1, 255), (A1, 20000, 65536), (R("E8"), 60, 65536)):
+        monkeypatch.setenv("QLAP_ROW_CAP", str(cap))
         with pytest.raises(ResourceCapError) as err:
-            enumerate_fodc_indices(r, height, include_center=True, max_indices=cap)
+            enumerate_fodc_indices(r, height, include_center=True)
         assert str(cap) in str(err.value)
     with pytest.raises(InvariantError):
         enumerate_fodc_indices(A2, -1, include_center=False)
+
+
+def test_default_cap_admits_2_to_the_16_calculi(monkeypatch):
+    # 2^16 <= 100000 < 2^17: the default cap takes the same enumerations as a cap of 65536
+    monkeypatch.delenv("QLAP_ROW_CAP", raising=False)
+    assert len(enumerate_fodc_indices(A1, 16, False)) == 65536  # 17 weights, 16 pairs besides (0, 0)
+    with pytest.raises(ResourceCapError, match="^enumeration exceeds the cap of 100000 calculi$"):
+        enumerate_fodc_indices(A1, 17, False)
 
 
 @pytest.mark.parametrize("label,height,include_center", [

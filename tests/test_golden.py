@@ -62,8 +62,8 @@ CASES = {
                         "--q", "0.6", "--radius", "6"], {}),
     "spectrum_a2xg2_lower": (["spectrum", "--type", "a2xg2", "--term", "mu=1,0,0,1:a=1",
                               "--q", "0.5", "--radius", "4"], {}),
-    "spectrum_row_cap_ok": (["spectrum", "--type", "A2", *A2_TERMS, "--q", "0.5",
-                             "--radius", "3", "--row-cap", "100"], {}),
+    "spectrum_row_cap_ok": (["spectrum", "--type", "A2", *A2_TERMS, "--q", "0.5", "--radius", "3"],
+                            {ROW_CAP_ENV: "100"}),
     "spectrum_env_cap_ok": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "4"],
                             {ROW_CAP_ENV: "50"}),
     # a term at mu = 0 has eigenvalue 0 everywhere: lower_bound is 0, not -0
@@ -117,7 +117,7 @@ CASES = {
     "heat_g2_eight": (["heat", "--type", "G2", "--term", "mu=1,0:a=1", "--q", "0.9", "--radius", "8",
                        "--t-grid", EIGHT_TIMES], {}),
     "heat_a1xa1": (["heat", "--type", "A1xA1", "--term", "mu=1,1:a=1", "--q", "0.4",
-                    "--radius", "3", "--t-grid", "0.5,2", "--row-cap", "100"], {}),
+                    "--radius", "3", "--t-grid", "0.5,2"], {ROW_CAP_ENV: "100"}),
     # center
     "center_a2": (["center", "--type", "A2"], {}),
     "center_d4": (["center", "--type", "D4"], {}),
@@ -157,20 +157,17 @@ CASES = {
     # rejections: validation takes none of the enumeration flags
     "reject_fodc_term_max_height": (["fodc", "--type", "A2", "--term", "mu=1,0", "--max-height", "1"], {}),
     "reject_fodc_term_include_center": (["fodc", "--type", "A2", "--term", "mu=1,0", "--include-center"], {}),
-    "reject_fodc_term_index_cap": (["fodc", "--type", "A2", "--term", "mu=1,0", "--index-cap", "65536"], {}),
-    # rejections: caps
+    # rejections: caps, all set by $QLAP_ROW_CAP
     "reject_spectrum_row_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
-                                 "--radius", "100000", "--row-cap", "3"], {}),
+                                 "--radius", "100000"], {ROW_CAP_ENV: "3"}),
     "reject_spectrum_env_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
                                  "--radius", "1000"], {ROW_CAP_ENV: "2"}),
-    "reject_limit_row_cap": (["limit", "--type", "A2", *A2_TERMS, "--radius", "40",
-                              "--row-cap", "3"], {}),
     "reject_limit_env_cap": (["limit", "--type", "A2", *A2_TERMS, "--radius", "40"],
                              {ROW_CAP_ENV: "3"}),
-    "reject_heat_row_cap": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "50",
-                             "--row-cap", "3"], {}),
-    "reject_fodc_index_cap": (["fodc", "--type", "A2", "--max-height", "1", "--include-center",
-                               "--index-cap", "100"], {}),
+    "reject_heat_row_cap": (["heat", "--type", "A1", *A1_TERM, "--q", "0.5", "--radius", "50"],
+                            {ROW_CAP_ENV: "3"}),
+    "reject_fodc_index_cap": (["fodc", "--type", "A2", "--max-height", "1", "--include-center"],
+                              {ROW_CAP_ENV: "100"}),
     # rejections: weight systems whose Weyl orbits pass the row cap, sized before Freudenthal
     "reject_weights_e8_rho": (["weights", "--type", "E8", "--mu", "1,1,1,1,1,1,1,1"], {}),
     "reject_weights_e8_three_rho": (["weights", "--type", "E8", "--mu", "3,3,3,3,3,3,3,3"], {}),
@@ -189,12 +186,9 @@ CASES = {
     "reject_build_rank_4000_digits": (["center", "--type", RANK_4000_DIGITS], {}),
     "reject_build_rank_sum_4301_digits": (["center", "--type", RANK_SUM_4301_DIGITS], {}),
     # rejections: negative caps are usage errors (0 stays a valid cap)
-    "reject_spectrum_negative_row_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
-                                          "--radius", "2", "--row-cap", "-1"], {}),
     "reject_spectrum_negative_env_cap": (["spectrum", "--type", "A1", *A1_TERM, "--q", "0.5",
                                           "--radius", "2"], {ROW_CAP_ENV: "-1"}),
-    "reject_fodc_negative_index_cap": (["fodc", "--type", "A2", "--max-height", "1",
-                                        "--index-cap", "-3"], {}),
+    "reject_fodc_negative_index_cap": (["fodc", "--type", "A2", "--max-height", "1"], {ROW_CAP_ENV: "-3"}),
     # rejections: every q formula takes 0 < q < 1; q = 1 is the classical limit, which `limit` reports
     "reject_spectrum_q_one": (["spectrum", "--type", "A1", *A1_TERM, "--q", "1", "--radius", "2"], {}),
     "reject_heat_q_one": (["heat", "--type", "A1", *A1_TERM, "--q", "1", "--radius", "2",

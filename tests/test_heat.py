@@ -49,9 +49,12 @@ def test_heat_time_must_be_nonnegative_and_finite():
         for lam in (Weight.zero(1), Weight.of([1])):
             with pytest.raises(InvariantError, match="^heat time must be nonnegative and finite, got "):
                 heat_coefficient(A1, SPEC, lam, 0.5, t)
-        with pytest.raises(InvariantError, match="^heat time must be nonnegative and finite, got "):
-            apply_heat(A1, SPEC, BlockCoefficients.of(A1, {(0,): [[5]]}), 0.5, t)
+        # with no block to scale too, as a bad q is refused there
+        for blocks in (BlockCoefficients.of(A1, {(0,): [[5]]}), BlockCoefficients(())):
+            with pytest.raises(InvariantError, match="^heat time must be nonnegative and finite, got "):
+                apply_heat(A1, SPEC, blocks, 0.5, t)
     assert heat_coefficient(A1, SPEC, Weight.zero(1), 0.5, sys.float_info.max) == 1.0
+    assert apply_heat(A1, SPEC, BlockCoefficients(()), 0.5, 2.0) == BlockCoefficients(())
 
 
 def test_apply_heat_examples():

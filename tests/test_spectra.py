@@ -359,7 +359,7 @@ def test_scans_respect_lower_bound():
             assert row.eigenvalue >= bound - 1e-12 * abs(bound)
 
 
-def test_spectrum_scan_examples():
+def test_spectrum_scan_examples(monkeypatch):
     spec = LaplacianSpec.of([(W1, 1)])
     rows = spectrum_scan(A1, spec, 0.5, Fraction(1, 4))
     assert len(rows) == 1 and rows[0].dim == 1 and rows[0].eigenvalue == 0.0
@@ -368,8 +368,9 @@ def test_spectrum_scan_examples():
         (Weight.of([0]), 1), (Weight.of([1]), 2), (Weight.of([2]), 3)]
     assert rel_close(rows[1].eigenvalue, 14 / 9)
     assert rel_close(rows[2].eigenvalue, 5.0)
+    monkeypatch.setenv("QLAP_ROW_CAP", "7")
     with pytest.raises(ResourceCapError) as err:
-        spectrum_scan(A1, spec, 0.5, 100000, row_cap=7)
+        spectrum_scan(A1, spec, 0.5, 100000)
     assert "7" in str(err.value)
 
 
