@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter, mul
@@ -31,6 +32,7 @@ _RANK_CONSTRAINTS = {
     "F": (4, 4),
     "G": (2, 2),
 }
+MAX_RATIONAL_BITS = 3322  # about 1000 decimal digits in a numerator or denominator read from text or a Decimal
 
 
 class _Record:
@@ -132,12 +134,8 @@ class Weight(_Record):
         """Integral rationals (2, Fraction(4, 2), "3/3", 2.0) as `int`s; any other value raises `InvariantError`."""
         coords = []
         for v in values:
-            try:  # None, NaN, an infinity and a string of too many digits fail in Fraction
-                v = v if type(v) is int else Fraction(v)
-                if v.denominator != 1:
-                    raise ValueError
-            except (TypeError, ValueError, OverflowError):
-                raise InvariantError(f"weight coordinate {len(coords) + 1} is not an integer") from None
+            if type(v) is not int and ((v := read_rational(v)) is None or v.denominator != 1):
+                raise InvariantError(f"weight coordinate {len(coords) + 1} is not an integer")
             coords.append(v.numerator)
         return Weight(tuple(coords))
 
@@ -305,13 +303,24 @@ def _plate(t: SimpleType) -> tuple[list[list[int]], list[int], tuple[int, ...], 
     return a, d, center, tuple(perm), tuple(top.get(j, 0) for j in range(1, n + 1)), count
 
 
-def _positive_rational(value, what: str) -> Fraction:
-    """`value` read exactly, if it is a positive rational; any other value raises `InvariantError`."""
-    try:  # None, NaN, an infinity, "1/0" and a string of too many digits fail in Fraction
-        if (value := Fraction(value)) > 0:
-            return value
+def read_rational(value) -> Fraction | None:
+    """An int, Fraction, float, Decimal or rational text as its exact `Fraction`; None for any other value."""
+    bounded = isinstance(value, (str, Decimal))  # text and Decimals: no huge exponent, no more than about 1000 digits
+    if bounded and re.search(r"[eE][-+]?0*[1-9][0-9_]{4}", str(value)):  # Fraction would expand 10**10000 and up
+        return None
+    try:  # None, NaN, an infinity, "1/0" and text past Python's int digit limit fail in Fraction
+        value = Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        pass
+        return None
+    if bounded and max(abs(value.numerator), value.denominator).bit_length() > MAX_RATIONAL_BITS:
+        return None
+    return value
+
+
+def _positive_rational(value, what: str) -> Fraction:
+    """`value` through `read_rational`, if it is a positive rational; any other value raises `InvariantError`."""
+    if (value := read_rational(value)) is not None and value > 0:
+        return value
     raise InvariantError(f"{what} must be a positive rational")
 
 
@@ -506,12 +515,15 @@ def center_order(R: RootSystem) -> int:
 
 
 def center_group(R: RootSystem) -> CenterGroup:
-    """Invariant factors and canonical representatives of P-dual/Q-dual.
+    """Invariant factors and canonical representatives of P-dual/Q-dual, refused past the row cap.
 
     The invariant factors merge the factors' cyclic orders (`_plate`): each
     order joins the divisor chain from the top, leaving the lcm and carrying
     the gcd down, since Z_a x Z_b = Z_gcd(a,b) x Z_lcm(a,b).
     """
+    order, cap = center_order(R), resolve_row_cap()
+    if order > cap:
+        raise ResourceCapError(f"center group of order {order} exceeds the row cap of {cap}")
     chain: list[int] = []
     for m in [m for f in R.factors for m in _plate(f)[2]]:
         for i in reversed(range(len(chain))):
@@ -521,7 +533,7 @@ def center_group(R: RootSystem) -> CenterGroup:
     basis = _coroot_hnf(R.cartan)
     reps = sorted(itertools.product(*(range(basis[i][i]) for i in range(R.rank))),
                   key=lambda rep: (sum(rep), rep))
-    return CenterGroup(invariant_factors=tuple(chain), order=center_order(R),
+    return CenterGroup(invariant_factors=tuple(chain), order=order,
                        representatives=tuple(CenterElement(rep) for rep in reps))
 
 

@@ -30,6 +30,7 @@ from .cartan import (
     enumerate_dominant,
     inner_product,
     minus_w0,
+    read_rational,
 )
 from .errors import InvariantError
 from .weights import dim_irrep, pairings, weight_system
@@ -54,11 +55,8 @@ def _pairings(R: RootSystem, mu: Weight, lam: Weight):
 
 def _as_coefficient(a, k: int) -> Fraction:
     """The exact value of a finite real coefficient: an int, Fraction, float or Decimal."""
-    if not isinstance(a, (bool, str, complex)):
-        try:
-            return Fraction(a)
-        except (TypeError, ValueError, OverflowError):  # NaN, an infinity, or no number at all
-            pass
+    if not isinstance(a, (bool, str, complex)) and (a := read_rational(a)) is not None:
+        return a
     raise InvariantError(f"the coefficient of term {k} is not a finite real number")
 
 

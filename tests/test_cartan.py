@@ -59,6 +59,9 @@ def test_simple_type_labels_are_non_redundant():
         assert bad in str(err.value) or bad[0] in str(err.value)
     for good in ["A1", "B2", "C3", "D4", "E6", "E7", "E8", "F4", "G2"]:
         parse_type_label(good)
+    # a family outside A-G never passes the label grammar; the record refuses it too
+    with pytest.raises(InvariantError, match="^unknown family 'H' in factor H2$"):
+        cartan.SimpleType("H", 2)
     # leading zeros do not count towards the digits an int may be read from
     assert parse_type_label("A" + "0" * 5000 + "1xG02") == parse_type_label("A1xG2")
     with pytest.raises(ResourceCapError) as err:
@@ -94,9 +97,11 @@ def test_weight_of_stores_integral_coordinates_as_int():
 
 
 def test_weight_of_refuses_a_coordinate_that_is_no_rational():
-    # NaN and an infinity fail Fraction with ValueError and OverflowError, None with TypeError, and a
-    # string of 5000 digits with ValueError (past the 4300 digits an int may be read from)
-    for bad in [float("nan"), float("inf"), None, "9" * 5000]:
+    # NaN and an infinity fail Fraction with ValueError and OverflowError, None with TypeError, "1/0" with
+    # ZeroDivisionError, and a string of 5000 digits with ValueError (past the 4300 digits an int may be read
+    # from); a decimal exponent of five digits, and text of more than about 1000 digits, are refused as read
+    for bad in [float("nan"), float("inf"), None, "9" * 5000, "1/0", "1e99999999", Decimal("1e99999999"),
+                "9" * 2000]:
         with pytest.raises(InvariantError, match="^weight coordinate 2 is not an integer$"):
             Weight.of([1, bad])
 
@@ -292,6 +297,16 @@ def test_center_orders_and_invariant_factors():
     assert center_order(R("x".join(["A1"] * 40))) == 2 ** 40
 
 
+def test_center_group_is_capped(monkeypatch):
+    # the order is read off the Hermite basis, so the cap refuses before any class is listed
+    monkeypatch.delenv("QLAP_ROW_CAP", raising=False)
+    with pytest.raises(ResourceCapError, match="^center group of order 131072 exceeds the row cap of 100000$"):
+        center_group(R("x".join(["A1"] * 17)))
+    monkeypatch.setenv("QLAP_ROW_CAP", "3")
+    with pytest.raises(ResourceCapError, match="^center group of order 4 exceeds the row cap of 3$"):
+        center_group(R("D4"))
+
+
 # products whose factors' cyclic orders share primes, with their invariant factors
 MERGED_CENTERS = {
     "A1xA1": (2, 2), "A1xA3": (2, 4), "A1xA2": (6,), "A5xA3": (2, 12), "A2xE6": (3, 3),
@@ -412,10 +427,13 @@ def test_enumerate_dominant_guards(monkeypatch):
         enumerate_dominant(a1, 5 * 10**9)
 
 
-# values that are not positive rationals; a string of 5000 digits is past what Python reads as an int
+# values that are not positive rationals; a string of 5000 digits is past what Python reads as an int, and
+# text or a Decimal with a decimal exponent of five digits or more than about 1000 digits is refused as read
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, None, "x", "1/0",
                                    pytest.param("-" + "9" * 5000, id="5000_digits"),
-                                   0, -1, Fraction(-1, 3), Decimal("NaN"), Decimal("Infinity"), 1j])
+                                   0, -1, Fraction(-1, 3), Decimal("NaN"), Decimal("Infinity"), 1j,
+                                   "1e99999999", "1e-99999999", Decimal("1e99999999"),
+                                   pytest.param("9" * 2000, id="2000_digits")])
 def test_radius_and_scale_must_be_positive_rationals(value):
     with pytest.raises(InvariantError, match="^radius must be a positive rational$"):
         enumerate_dominant(R("A1"), value)

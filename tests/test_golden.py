@@ -214,6 +214,8 @@ CASES = {
     # rejections: non-finite complex coefficients
     "reject_fodc_coefficient_nanj": (["fodc", "--type", "A2", "--term", "mu=1,0:a=nanj"], {}),
     "reject_fodc_coefficient_1e400j": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1e400j"], {}),
+    # rejections: a complex literal that is no Python complex literal
+    "reject_coefficient_complex_syntax": (["fodc", "--type", "A2", "--term", "mu=1,0:a=1+2jj"], {}),
     # rejections: rationals too long to expand or to print
     "reject_coefficient_digits": (["spectrum", "--type", "A1", "--term", "mu=1:a=1e-5000",
                                    "--q", "0.5", "--radius", "2"], {}),

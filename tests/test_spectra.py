@@ -155,8 +155,9 @@ def test_spec_coefficients_are_read_exactly():
                              (Weight.of([4]), Fraction(2, 3))])
     assert [a for _, a in spec.terms] == [1, Fraction(0.1), Fraction(1, 10), Fraction(2, 3)]
     assert all(type(a) is Fraction for _, a in spec.terms)
+    # a Decimal with a decimal exponent of five digits, or of more than about 1000 digits, is refused as read
     for bad in [math.inf, -math.inf, math.nan, Decimal("NaN"), Decimal("Infinity"), "3/2", 1 + 2j, 1 + 0j,
-                True, None]:
+                True, None, Decimal("1e99999999"), Decimal("1E+9999")]:
         with pytest.raises(InvariantError, match="^the coefficient of term 2 is not a finite real number$"):
             LaplacianSpec.of([(W1, 1), (Weight.of([2]), bad)])
     # a record built past `of` takes no float back
@@ -326,6 +327,8 @@ def test_killing_scale_makes_adjoint_index_one():
         assert dynkin_index(scaled, scaled.highest_roots[0]) == 1
     assert killing_form_scale(A2) == Fraction(1, 6)
     assert killing_form_scale(G2) == Fraction(1, 24)
+    with pytest.raises(InvariantError, match="^the Killing scale is per simple factor$"):
+        killing_form_scale(R("A1xA1"))
 
 
 def test_lower_bound_examples():
