@@ -34,11 +34,8 @@ from .fodc import (
     validate_functional,
 )
 from .heat import (
-    BlockCoefficients,
     MarkovVerdict,
-    apply_heat,
     heat_coefficient,
-    heat_trace,
     heat_trace_report,
     markov_verdict,
 )
@@ -48,13 +45,9 @@ from .spectra import (
     SpectrumRow,
     casimir_eigenvalue,
     classical_laplacian_eigenvalue,
-    dynkin_index,
     general_functional_eigenvalue,
-    killing_form_scale,
     lower_bound,
-    nonnegativity_scan,
     q_laplacian_eigenvalue,
-    q_number,
     qms_witness,
     spectrum_scan,
 )

@@ -141,8 +141,12 @@ def enumerate_fodc_indices(R: RootSystem, max_height: int,
     summand.  The weight walk stops as soon as the pool would hold more
     pairs than log2 of the row cap, so the cap is checked before the work.
     """
+    try:  # an integer by `Weight.of`'s rule: the walk's `<=` would take NaN, 0.5 or 1/3 as height 0
+        (max_height,) = Weight.of([max_height]).coords
+    except InvariantError:
+        max_height = -1
     if max_height < 0:
-        raise InvariantError("max_height must be nonnegative")
+        raise InvariantError("max_height must be a nonnegative integer")
     cap = resolve_row_cap()
     # 2^(|zetas| * |mus| - 1) calculi fit under the cap iff |zetas| * |mus| <= its bit length
     max_mus = cap.bit_length() // (center_order(R) if include_center else 1)

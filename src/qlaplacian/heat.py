@@ -1,18 +1,17 @@
-"""Diagonal action of the heat semigroup on Peter-Weyl blocks.
+"""The heat semigroup, diagonal on Peter-Weyl blocks.
 
-The semigroup scales the block at a dominant weight by e^{-t C(lam)}; the
-truncated trace sums n_lam^2 e^{-t C(lam)} over a norm ball and tends to 1
-as t grows, because the eigenvalues diverge with (lam, lam).
+It scales the block at lam by `heat_coefficient`, e^{-t C(lam)}, so the semigroup
+law holds block by block; the truncated trace sums n_lam^2 e^{-t C(lam)} over a norm
+ball and tends to 1 as t grows, because the eigenvalues diverge with (lam, lam).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .cartan import RootSystem, Weight, graded_key, untouched_factors
+from .cartan import RootSystem, Weight, untouched_factors
 from .errors import InvariantError
 from .spectra import (
     LaplacianSpec,
@@ -21,39 +20,7 @@ from .spectra import (
     qms_witness,
     spectrum_scan,
 )
-from .weights import dim_irrep
-
-Matrix = tuple[tuple[complex, ...], ...]
-
-
-class BlockCoefficients(NamedTuple):
-    """Finitely many Peter-Weyl blocks: (weight, n_lam x n_lam matrix) pairs."""
-
-    blocks: tuple[tuple[Weight, Matrix], ...]
-
-    @staticmethod
-    def of(R: RootSystem, data) -> "BlockCoefficients":
-        blocks = []
-        for k, (lam, matrix) in enumerate(data.items() if isinstance(data, dict) else data, 1):
-            lam = Weight.of(lam.coords if isinstance(lam, Weight) else lam)
-            n = dim_irrep(R, lam)
-            rows = tuple(tuple(_as_entry(v, k) for v in row) for row in matrix)
-            if len(rows) != n or any(len(row) != n for row in rows):  # named by position: n may not print
-                raise InvariantError(f"the matrix of block {k} is not dim V(lam) by dim V(lam)")
-            blocks.append((lam, rows))
-        if len({lam for lam, _ in blocks}) != len(blocks):
-            raise InvariantError("duplicate block weight")
-        return BlockCoefficients(tuple(sorted(blocks, key=lambda b: graded_key(b[0]))))
-
-
-def _as_entry(v, k: int) -> complex:
-    """A finite entry as a `complex`; a str, bool, None or a value that is not finite raises `InvariantError`."""
-    try:
-        if not isinstance(v, (bool, str)) and cmath.isfinite(z := complex(v)):
-            return z
-    except (TypeError, ValueError, OverflowError):  # None, or no number at all
-        pass
-    raise InvariantError(f"an entry of the matrix of block {k} is not a finite number")
+from .weights import dim_irrep  # noqa: F401 -- perfbench/tracer.py binds it (CACHED) until ROADMAP item 2
 
 
 def heat_coefficient(R: RootSystem, spec: LaplacianSpec, lam: Weight, q, t: float) -> float:
@@ -61,23 +28,6 @@ def heat_coefficient(R: RootSystem, spec: LaplacianSpec, lam: Weight, q, t: floa
     if not 0 <= t < math.inf:  # NaN fails it too
         raise InvariantError(f"heat time must be nonnegative and finite, got {t}")
     return math.exp(-t * q_laplacian_eigenvalue(R, spec, lam, q))
-
-
-def apply_heat(R: RootSystem, spec: LaplacianSpec, coeffs: BlockCoefficients,
-               q, t: float) -> BlockCoefficients:
-    """Scale every block by its heat coefficient; the support is unchanged."""
-    log_q(q)
-    heat_coefficient(R, spec, Weight.zero(R.rank), q, t)  # checks t once, even with no block to scale
-    out = []
-    for lam, matrix in coeffs.blocks:
-        c = heat_coefficient(R, spec, lam, q, t)
-        out.append((lam, tuple(tuple(c * v for v in row) for row in matrix)))
-    return BlockCoefficients(tuple(out))
-
-
-def heat_trace(R: RootSystem, spec: LaplacianSpec, q, t: float, radius) -> float:
-    """Truncated trace sum n_lam^2 e^{-t C(lam)} over (lam, lam) <= radius."""
-    return heat_trace_report(R, spec, q, [t], radius)[0][0]
 
 
 def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float],

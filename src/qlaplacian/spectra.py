@@ -28,7 +28,7 @@ from .cartan import (
     center_reduce,
     coweight_pairing,
     enumerate_dominant,
-    inner_product,
+    inner_product,  # noqa: F401 -- perfbench/tracer.py binds it (COUNTED) until ROADMAP item 2
     minus_w0,
     read_rational,
 )
@@ -102,25 +102,28 @@ class LaplacianSpec(_Record):
 
 
 class GeneralFunctionalSpec(_Record):
-    """Terms (zeta_l, mu_l, a_l) with distinct (zeta, mu) pairs and a_l an exact pair (re, im) of `Fraction`s."""
+    """Terms (zeta_l, mu_l, a_l): distinct (zeta, mu) pairs, zeta a `CenterElement` of `int`s, a_l exact (re, im)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[CenterElement, Weight, tuple[Fraction, Fraction]], ...]):
-        if len({(z, mu) for z, mu, _ in terms}) != len(terms):
-            raise InvariantError("functional terms must have distinct (zeta, mu) pairs")
-        for k, (_, mu, a) in enumerate(terms, 1):
+        for k, (z, mu, a) in enumerate(terms, 1):
+            if type(z) is not CenterElement or type(z.rep) is not tuple or any(type(c) is not int for c in z.rep):
+                raise InvariantError(f"the center class of term {k} is not a CenterElement of integers")
             if not mu.is_dominant:
                 raise InvariantError(f"the weight of term {k} is not dominant integral")
             if type(a) is not tuple or len(a) != 2:
                 raise InvariantError(f"the coefficient of term {k} is not a pair (re, im)")
             _check_exact(k, a)
+        if len({(z, mu) for z, mu, _ in terms}) != len(terms):
+            raise InvariantError("functional terms must have distinct (zeta, mu) pairs")
         object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def of(triples) -> "GeneralFunctionalSpec":
-        """Weights through `Weight.of`; a real a is (a, 0), and each part of a `complex` or a pair is read exactly."""
-        return GeneralFunctionalSpec(tuple((z, mu if isinstance(mu, Weight) else Weight.of(mu), _as_pair(a, k))
+        """A tuple or list zeta and each weight through `Weight.of`; a real a is (a, 0), each part read exactly."""
+        return GeneralFunctionalSpec(tuple((CenterElement(Weight.of(z).coords) if isinstance(z, (tuple, list)) else z,
+                                            mu if isinstance(mu, Weight) else Weight.of(mu), _as_pair(a, k))
                                            for k, (z, mu, a) in enumerate(triples, 1)))
 
 
@@ -130,11 +133,6 @@ class SpectrumRow(NamedTuple):
     lam: Weight
     dim: int
     eigenvalue: float
-
-
-def q_number(x, q) -> float:
-    """[x]_q = (q^x - q^{-x}) / (q - q^{-1}) = sinh(x ln q) / sinh(ln q)."""
-    return _bracket(float(x), log_q(q))
 
 
 def casimir_eigenvalue(R: RootSystem, mu: Weight, lam: Weight, q) -> float:
@@ -186,30 +184,6 @@ def general_functional_eigenvalue(R: RootSystem, spec: GeneralFunctionalSpec, la
     return total
 
 
-def dynkin_index(R: RootSystem, mu: Weight) -> Fraction:
-    """The trace-form ratio b_mu = sum_e mult(e) (e, t)^2 / (t, t), exact, the same for every t != 0.
-
-    Only meaningful for a single simple factor (compute per factor for products).  The trace
-    of the Casimir element on V(mu) gives b_mu = dim V(mu) (mu, mu + 2 rho) / dim g (Humphreys
-    1972, 6.2 and 22.1), so no weight system is built.
-    """
-    if len(R.factors) != 1:
-        raise InvariantError("dynkin_index needs a simple root system; handle products per factor")
-    dim_g = R.rank + 2 * len(R.positive_roots)
-    return dim_irrep(R, mu) * inner_product(R, mu, Weight(tuple(c + 2 for c in mu.coords))) / dim_g  # mu + 2 rho
-
-
-def killing_form_scale(R: RootSystem) -> Fraction:
-    """Scale that turns the normalized form into the Killing form (simple types).
-
-    The Killing form is the trace form of the adjoint representation, so the
-    right scale is the one making the adjoint index equal to 1.
-    """
-    if len(R.factors) != 1:
-        raise InvariantError("the Killing scale is per simple factor")
-    return R.scale / dynkin_index(R, R.highest_roots[0])
-
-
 def lower_bound(R: RootSystem, spec: LaplacianSpec, q) -> float:
     """-sum_l a_l sum_e [(r, e)]_q^2, a floor for every scan eigenvalue."""
     h = log_q(q)
@@ -247,9 +221,3 @@ def spectrum_scan(R: RootSystem, spec: LaplacianSpec, q, radius) -> list[Spectru
     return [SpectrumRow(lam=lam, dim=dim_irrep(R, lam),
                         eigenvalue=q_laplacian_eigenvalue(R, spec, lam, q))
             for lam in enumerate_dominant(R, radius)]
-
-
-def nonnegativity_scan(R: RootSystem, spec: LaplacianSpec, q, radius) -> tuple[float, Weight]:
-    """Minimum scanned eigenvalue and the first weight attaining it."""
-    best = min(spectrum_scan(R, spec, q, radius), key=lambda r: r.eigenvalue)
-    return best.eigenvalue, best.lam

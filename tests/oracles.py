@@ -24,13 +24,16 @@ carries the prefix images; it imports none of the package's build
 arithmetic.  The helpers that only the tests read live here too: `rho`,
 `fundamental`, `w0_word` (the longest-element word by greedy descent from
 rho), `apply_word`, `apply_w0`, `rational_inner_product` (the form on plain
-tuples of rationals, for test points off the weight lattice), `center_add`,
-and the JSON form of heat-semigroup blocks (`blocks_to_json`,
-`blocks_from_json`).
+tuples of rationals, for test points off the weight lattice) and
+`center_add`.  `exact_eigenvalue` and `exact_lower_bound` are the q-Laplacian
+and its floor at q = s^D for a rational s, where every bracket [X/D]_q is the
+rational (s^X - s^-X) / (s^D - s^-D): exact `Fraction`s from the formula,
+sharing only the integer pairings of `weights.pairings` with the package.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,8 +53,7 @@ from qlaplacian.cartan import (
     parse_type_label,
 )
 from qlaplacian.errors import InvariantError
-from qlaplacian.heat import BlockCoefficients
-from qlaplacian.weights import dim_irrep, weight_system
+from qlaplacian.weights import dim_irrep, pairings, weight_system
 
 
 def rational_det(matrix) -> Fraction:
@@ -540,21 +542,25 @@ def reference_fodc_enumeration(R: RootSystem, calculi) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Heat-semigroup blocks as JSON
+# Exact eigenvalues at q = s^D
 # ---------------------------------------------------------------------------
 
 
-def blocks_to_json(coeffs: BlockCoefficients) -> list:
-    """JSON form: a list of {"lambda": int[], "matrix": [[{"re", "im"}, ...], ...]}."""
-    return [{
-        "lambda": list(lam.coords),
-        "matrix": [[{"re": v.real, "im": v.imag} for v in row] for row in matrix],
-    } for lam, matrix in coeffs.blocks]
+@functools.lru_cache(maxsize=None)
+def exact_bracket(X: int, D: int, s: Fraction) -> Fraction:
+    """[X/D]_q at q = s^D: q^(X/D) = s^X, so (s^X - s^-X) / (s^D - s^-D), a rational."""
+    return (s ** X - s ** -X) / (s ** D - s ** -D)
 
 
-def blocks_from_json(R: RootSystem, data) -> BlockCoefficients:
-    return BlockCoefficients.of(R, [
-        (Weight.of(item["lambda"]),
-         [[complex(v["re"], v["im"]) for v in row] for row in item["matrix"]])
-        for item in data
-    ])
+def exact_eigenvalue(R: RootSystem, spec, lam: Weight, s: Fraction) -> Fraction:
+    """C_q(lam) = sum_l a_l sum_e mult ([(lam + rho, e)]_q^2 - [(rho, e)]_q^2) at q = s^D, exactly."""
+    D = R.denominator
+    return sum((a * mult * (exact_bracket(x, D, s) ** 2 - exact_bracket(y, D, s) ** 2)
+                for mu, a in spec.terms for mult, x, y in pairings(R, weight_system(R, mu).rows, lam)), Fraction(0))
+
+
+def exact_lower_bound(R: RootSystem, spec, s: Fraction) -> Fraction:
+    """-sum_l a_l sum_e mult [(rho, e)]_q^2 at q = s^D, exactly."""
+    D, zero = R.denominator, Weight.zero(R.rank)
+    return -sum((a * mult * exact_bracket(y, D, s) ** 2
+                 for mu, a in spec.terms for mult, _, y in pairings(R, weight_system(R, mu).rows, zero)), Fraction(0))

@@ -8,6 +8,7 @@ import pytest
 
 import qlaplacian.cartan as cartan
 from qlaplacian.cartan import (
+    CenterElement,
     RootSystem,
     Weight,
     build_root_system,
@@ -23,7 +24,6 @@ from qlaplacian.cartan import (
     parse_type_label,
 )
 from qlaplacian.errors import InvariantError, ResourceCapError
-from qlaplacian.heat import BlockCoefficients
 from qlaplacian.spectra import GeneralFunctionalSpec, LaplacianSpec, q_laplacian_eigenvalue
 from qlaplacian.weights import dim_irrep, weight_system
 
@@ -113,15 +113,18 @@ def test_every_entry_point_refuses_non_integral_weights(bad):
     for refuse in (lambda: Weight.of([bad, 0]),
                    lambda: LaplacianSpec.of([((bad, 0), 1)]),
                    lambda: GeneralFunctionalSpec.of([(z0, (bad, 0), 1)]),
-                   lambda: BlockCoefficients.of(r, [((bad, 0), [[1]])])):
+                   lambda: GeneralFunctionalSpec.of([((bad, 0), (1, 0), 1)])):  # a center class reads as a weight
         with pytest.raises(InvariantError):
             refuse()
     # a weight built past `of` is refused where it is read
     past = Weight((bad, 0))
     spec = LaplacianSpec.of([((1, 0), 1)])
+    one = (Fraction(1), Fraction(0))
     for refuse in (lambda: cartan.check_dominant_integral(r, past),
                    lambda: LaplacianSpec(((past, 1),)),
                    lambda: GeneralFunctionalSpec(((z0, past, 1),)),
+                   lambda: GeneralFunctionalSpec.of([(CenterElement((bad, 0)), (1, 0), 1)]),
+                   lambda: GeneralFunctionalSpec(((CenterElement((bad, 0)), Weight((1, 0)), one),)),
                    lambda: weight_system(r, past),
                    lambda: dim_irrep(r, past),
                    lambda: q_laplacian_eigenvalue(r, spec, past, 0.5)):

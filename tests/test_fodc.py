@@ -9,6 +9,7 @@ wherever a calculus appears the program's `fodc_dimension`,
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -293,8 +294,13 @@ def test_enumeration_annotations_and_cap(monkeypatch):
         with pytest.raises(ResourceCapError) as err:
             enumerate_fodc_indices(r, height, include_center=True)
         assert str(cap) in str(err.value)
-    with pytest.raises(InvariantError):
-        enumerate_fodc_indices(A2, -1, include_center=False)
+    # a height is a nonnegative integer by `Weight.of`'s rule: NaN, 0.5 and 1/3 gave only the zero calculus,
+    # and "x" and None ended in a bare TypeError
+    for bad in [-1, math.nan, 0.5, Fraction(1, 3), -math.inf, math.inf, "x", None, "-1"]:
+        with pytest.raises(InvariantError, match="^max_height must be a nonnegative integer$"):
+            enumerate_fodc_indices(A2, bad, include_center=False)
+    for height in [1.0, Fraction(2, 2), "1", True]:
+        assert enumerate_fodc_indices(A2, height, include_center=False) == enumerate_fodc_indices(A2, 1, False)
 
 
 def test_default_cap_admits_2_to_the_16_calculi(monkeypatch):

@@ -13,7 +13,6 @@ import pytest
 import qlaplacian
 from qlaplacian.cartan import CenterElement, SimpleType, Weight, build_root_system, check_dominant_integral
 from qlaplacian.errors import InvariantError, ResourceCapError
-from qlaplacian.heat import BlockCoefficients
 from qlaplacian.spectra import GeneralFunctionalSpec, LaplacianSpec, classical_laplacian_eigenvalue
 from qlaplacian.weights import weight_system
 
@@ -127,8 +126,6 @@ def test_a_refused_weight_too_long_to_print_is_named_by_its_position():
         check_dominant_integral(R, negative)
     with pytest.raises(ResourceCapError, match="^the weight system exceeds the row cap of"):
         weight_system(R, huge)
-    with pytest.raises(InvariantError, match="^the matrix of block 1 is not dim V"):
-        BlockCoefficients.of(R, [(huge, [[1]])])
 
 
 def test_importing_the_cli_loads_no_dataclasses():

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import apply_w0, fundamental, reference_witness, rho
+from oracles import apply_w0, fundamental, reference_dynkin_index, reference_witness, rho
 from qlaplacian.cartan import (
+    CenterElement,
     Weight,
     build_root_system,
     center_reduce,
@@ -17,26 +18,15 @@ from qlaplacian.cartan import (
     parse_type_label,
 )
 from qlaplacian.errors import InvariantError, ResourceCapError
-from qlaplacian.heat import (
-    BlockCoefficients,
-    apply_heat,
-    heat_coefficient,
-    heat_trace,
-    heat_trace_report,
-    markov_verdict,
-)
+from qlaplacian.heat import heat_coefficient, heat_trace_report, markov_verdict
 from qlaplacian.spectra import (
     GeneralFunctionalSpec,
     LaplacianSpec,
     casimir_eigenvalue,
     classical_laplacian_eigenvalue,
-    dynkin_index,
     general_functional_eigenvalue,
-    killing_form_scale,
     lower_bound,
-    nonnegativity_scan,
     q_laplacian_eigenvalue,
-    q_number,
     qms_witness,
     spectrum_scan,
 )
@@ -57,27 +47,11 @@ def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def test_q_number_examples():
-    assert q_number(0, 0.5) == 0.0
-    assert q_number(1, 0.5) == 1.0
-    assert rel_close(q_number(2, 0.5), 2.5)
-    for x in (Fraction(1, 2), 3, 1.7):
-        assert rel_close(q_number(x, 0.37), -q_number(-x, 0.37))
-    with pytest.raises(InvariantError):
-        q_number(2, 1.0)
-    with pytest.raises(InvariantError):
-        q_number(2, 0.0)
-    with pytest.raises(InvariantError):
-        q_number(2, 1.5)
-
-
 A1_SPEC = LaplacianSpec.of([(W1, 1)])
 EMPTY_SPEC = LaplacianSpec(())
-A1_BLOCKS = BlockCoefficients.of(A1, {(1,): [[1, 0], [0, 1]]})
-# every public q function, called with valid arguments apart from q; the empty spec and the
-# empty block list evaluate no q formula, so only the q check itself can reject them
+# every public q function, called with valid arguments apart from q; the empty spec evaluates
+# no q formula, so only the q check itself can reject it
 Q_CALLS = {
-    "q_number": lambda q: q_number(2, q),
     "casimir_eigenvalue": lambda q: casimir_eigenvalue(A1, W1, W1, q),
     "q_laplacian_eigenvalue": lambda q: q_laplacian_eigenvalue(A1, A1_SPEC, W1, q),
     "q_laplacian_eigenvalue_empty_spec": lambda q: q_laplacian_eigenvalue(A1, EMPTY_SPEC, W1, q),
@@ -90,12 +64,8 @@ Q_CALLS = {
     "qms_witness": lambda q: qms_witness(A1, W1, q),
     "spectrum_scan": lambda q: spectrum_scan(A1, A1_SPEC, q, 2),
     "spectrum_scan_empty_spec": lambda q: spectrum_scan(A1, EMPTY_SPEC, q, 2),
-    "nonnegativity_scan": lambda q: nonnegativity_scan(A1, A1_SPEC, q, 2),
     "heat_coefficient": lambda q: heat_coefficient(A1, A1_SPEC, W1, q, 1.0),
-    "heat_trace": lambda q: heat_trace(A1, A1_SPEC, q, 1.0, 2),
     "heat_trace_report": lambda q: heat_trace_report(A1, A1_SPEC, q, [1.0], 2),
-    "apply_heat": lambda q: apply_heat(A1, A1_SPEC, A1_BLOCKS, q, 1.0),
-    "apply_heat_empty_blocks": lambda q: apply_heat(A1, A1_SPEC, BlockCoefficients(()), q, 1.0),
     "markov_verdict": lambda q: markov_verdict(A1, A1_SPEC, q),
     "markov_verdict_empty_spec": lambda q: markov_verdict(A1, EMPTY_SPEC, q),
 }
@@ -277,6 +247,21 @@ def test_general_functional_spec_takes_only_exact_pairs():
         # the least positive float and the largest one are kept
         edge = (Fraction(2**-1074), Fraction(-sys.float_info.max))
         assert make(edge).terms[0][2] == edge
+    # the class: a `CenterElement` of ints; these ended in a bare AttributeError once evaluated
+    pair = (Fraction(1), Fraction(0))
+    for bad in [None, "x", math.nan, (1, 0), [1, 0], CenterElement((0.5, 0)), CenterElement((Fraction(1), 0)),
+                CenterElement((True, 0)), CenterElement(None), CenterElement([1, 0])]:
+        with pytest.raises(InvariantError, match="^the center class of term 2 is not a CenterElement of integers$"):
+            GeneralFunctionalSpec(((z0, mu, pair), (bad, mu, pair)))
+        if not isinstance(bad, (tuple, list)):
+            with pytest.raises(InvariantError, match="^the center class of term 2 is not a CenterElement of integers$"):
+                GeneralFunctionalSpec.of([(z0, mu, 1), (bad, mu, 1)])
+    # `of` reads a tuple or list of integers, by `Weight.of`'s rule, as the class it names
+    for given in [(1, 0), [1, 0], (Fraction(2, 2), "0"), (1.0, 0)]:
+        spec = GeneralFunctionalSpec.of([(given, mu, 1)])
+        assert spec == GeneralFunctionalSpec.of([(CenterElement((1, 0)), mu, 1)])
+        assert general_functional_eigenvalue(A2, spec, Weight.of([1, 0]), 0.5) == general_functional_eigenvalue(
+            A2, GeneralFunctionalSpec.of([(center_reduce(A2, [1, 0]), mu, 1)]), Weight.of([1, 0]), 0.5)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "E6", "D5"])
@@ -295,40 +280,15 @@ def test_a_term_and_its_dual_give_one_spectrum(label):
             # both sides add the same n terms t in another order: recursive summation errs by at most
             # (n - 1) (eps / 2) sum |t| on each side (Higham 2002, 4.2); as much again covers a term
             # whose sinh of -x is not exactly -sinh(x)
-            D = r.denominator
-            terms = [mult * (q_number(Fraction(x, D), q) ** 2 - q_number(Fraction(y, D), q) ** 2)
+            D, h = r.denominator, math.log(q)
+
+            def bracket(p):  # [p / D]_q = sinh((p / D) ln q) / sinh(ln q)
+                return math.sinh(p / D * h) / math.sinh(h)
+
+            terms = [mult * (bracket(x) ** 2 - bracket(y) ** 2)
                      for mult, x, y in pairings(r, weight_system(r, mu).rows, lam)]
             tol = 2 * (len(terms) - 1) * eps * sum(map(abs, terms))
             assert abs(q_laplacian_eigenvalue(r, spec, lam, q) - q_laplacian_eigenvalue(r, twin, lam, q)) <= tol
-
-
-def test_dynkin_index_examples_and_theta_independence():
-    assert dynkin_index(A1, Weight.zero(1)) == 0
-    assert dynkin_index(A1, W1) == 1
-    assert dynkin_index(A1, Weight.of([2])) == 4
-    rng = random.Random(5)
-    for r, mu in [(A2, Weight.of([1, 1])), (G2, Weight.of([1, 0])), (A1, Weight.of([3]))]:
-        b = dynkin_index(r, mu)
-        system = weight_system(r, mu)
-        for _ in range(10):
-            theta = Weight.of([rng.randint(-3, 3) for _ in range(r.rank)])
-            if theta.is_zero:
-                continue
-            lhs = sum(m * inner_product(r, w, theta) ** 2 for w, m in system)
-            assert lhs == b * inner_product(r, theta, theta)
-    with pytest.raises(InvariantError):
-        dynkin_index(R("A1xA1"), Weight.of([1, 0]))
-
-
-def test_killing_scale_makes_adjoint_index_one():
-    for label in ["A1", "A2", "B2", "G2", "F4"]:
-        base = R(label)
-        scaled = build_root_system(parse_type_label(label), scale=killing_form_scale(base))
-        assert dynkin_index(scaled, scaled.highest_roots[0]) == 1
-    assert killing_form_scale(A2) == Fraction(1, 6)
-    assert killing_form_scale(G2) == Fraction(1, 24)
-    with pytest.raises(InvariantError, match="^the Killing scale is per simple factor$"):
-        killing_form_scale(R("A1xA1"))
 
 
 def test_lower_bound_examples():
@@ -378,13 +338,12 @@ def test_spectrum_scan_examples(monkeypatch):
 
 
 def test_nonnegativity_scan_examples():
-    gamma = A2.highest_roots[0]
-    value, where = nonnegativity_scan(A2, LaplacianSpec.of([(gamma, 1)]), 0.5, 6)
-    assert value == 0.0 and where == Weight.zero(2)
-    value, where = nonnegativity_scan(A1, LaplacianSpec.of([(Weight.of([3]), 2)]), 0.7, 10)
-    assert value == 0.0 and where == Weight.zero(1)
-    value, where = nonnegativity_scan(A1, LaplacianSpec.of([(Weight.zero(1), 1)]), 0.5, 4)
-    assert value == 0.0 and where == Weight.zero(1)
+    """The minimum over a scan, and the first weight attaining it, as `qlap spectrum` reports them."""
+    for r, spec, q, radius in [(A2, LaplacianSpec.of([(A2.highest_roots[0], 1)]), 0.5, 6),
+                               (A1, LaplacianSpec.of([(Weight.of([3]), 2)]), 0.7, 10),
+                               (A1, LaplacianSpec.of([(Weight.zero(1), 1)]), 0.5, 4)]:
+        lowest = min(spectrum_scan(r, spec, q, radius), key=lambda row: row.eigenvalue)
+        assert lowest.eigenvalue == 0.0 and lowest.lam == Weight.zero(r.rank)
 
 
 def test_witness_examples():
@@ -470,7 +429,8 @@ def test_classical_identity_against_dynkin_index():
                      sorted(mus, key=lambda w: w.coords)]
             spec = LaplacianSpec.of(terms)
             lam = Weight.of([rng.randint(0, 6) for _ in range(r.rank)])
-            expected = sum(a * dynkin_index(r, mu) for mu, a in spec.terms) \
+            # the trace-form index of each term, at one test weight: it is the same at every weight
+            expected = sum(a * reference_dynkin_index(r, mu, r.highest_roots[0]) for mu, a in spec.terms) \
                 * inner_product(r, lam, lam + rho2)
             assert classical_laplacian_eigenvalue(r, spec, lam) == expected
 
