@@ -132,6 +132,8 @@ class Weight(_Record):
     @staticmethod
     def of(values: Iterable) -> "Weight":
         """Integral rationals (2, Fraction(4, 2), "3/3", 2.0) as `int`s; any other value raises `InvariantError`."""
+        if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):  # "10" is no weight (1, 0)
+            raise InvariantError(f"a weight is a sequence of coordinates, not {type(values).__name__}")
         coords = []
         for v in values:
             if type(v) is not int and ((v := read_rational(v)) is None or v.denominator != 1):
@@ -492,9 +494,9 @@ def _coroot_hnf(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], .
 
 def center_reduce(R: RootSystem, rep: Sequence[int]) -> CenterElement:
     """Canonical representative of a coweight vector modulo the coroot lattice."""
-    if len(rep) != R.rank:
-        raise InvariantError(f"center representative of length {len(rep)} does not match rank {R.rank}")
-    v = [int(a) for a in rep]
+    v = list(Weight.of(rep).coords)  # integers by `Weight.of`'s rule: 0.5 is no class (0, 0)
+    if len(v) != R.rank:
+        raise InvariantError(f"center representative of length {len(v)} does not match rank {R.rank}")
     basis = _coroot_hnf(R.cartan)
     for i in range(R.rank):
         q = v[i] // basis[i][i]

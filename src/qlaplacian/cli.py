@@ -217,22 +217,14 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: str | None):
-    to_stdout = output in (None, "-")
-    if to_stdout and sys.stdout is None:
+def _emit(text: str):
+    if sys.stdout is None:
         raise UsageError("standard output is closed")
     try:
-        if to_stdout:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    except OSError as exc:
-        if to_stdout:  # drop the buffered report, or the flush at exit fails again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        where = "standard output" if to_stdout else repr(output)
-        raise UsageError(f"cannot write {where}: {exc.strerror}") from exc
+        print(text, end="", flush=True)
+    except OSError as exc:  # drop the buffered report, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write standard output: {exc.strerror}") from exc
 
 
 def _terms_json(spec: LaplacianSpec):
@@ -394,7 +386,6 @@ def _build_parser() -> _Parser:
     def common(p, q=False, terms=False, radius=False):
         p.add_argument("--type", required=True, help="product type label, e.g. A2 or A1xG2")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default="-", help="output path ('-' = stdout)")
         if q:
             p.add_argument("--q", type=float, required=True, help="deformation parameter in (0, 1)")
         if terms:
@@ -445,7 +436,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         R = build_root_system([args.type])
         report = {"command": args.command, "type": args.type, **args.fn(args, R)}
-        _emit(_render(report, args.format), args.output)
+        _emit(_render(report, args.format))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from .spectra import (
     log_q,
     q_laplacian_eigenvalue,
     qms_witness,
+    read_float,
     spectrum_scan,
 )
 from .weights import dim_irrep  # noqa: F401 -- perfbench/tracer.py binds it (CACHED) until ROADMAP item 2
@@ -25,7 +26,7 @@ from .weights import dim_irrep  # noqa: F401 -- perfbench/tracer.py binds it (CA
 
 def heat_coefficient(R: RootSystem, spec: LaplacianSpec, lam: Weight, q, t: float) -> float:
     """e^{-t C(lam)}; equals 1 at t = 0 and at lam = 0."""
-    if not 0 <= t < math.inf:  # NaN fails it too
+    if not 0 <= (t := read_float(t, "heat time")) < math.inf:  # NaN fails it too
         raise InvariantError(f"heat time must be nonnegative and finite, got {t}")
     return math.exp(-t * q_laplacian_eigenvalue(R, spec, lam, q))
 
@@ -39,7 +40,7 @@ def heat_trace_report(R: RootSystem, spec: LaplacianSpec, q, ts: Sequence[float]
     divergence of the eigenvalues.  A family that misses a simple factor has
     infinitely many zero eigenvalues and so an infinite trace: it is rejected.
     """
-    for t in ts:
+    for t in (ts := [read_float(t, "heat-trace time") for t in ts]):
         if not 0 < t < math.inf:
             raise InvariantError(f"heat-trace time must be positive and finite, got {t}")
     missed = untouched_factors(R, [mu for mu, _ in spec.terms])

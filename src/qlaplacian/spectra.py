@@ -36,10 +36,16 @@ from .errors import InvariantError
 from .weights import dim_irrep, pairings, weight_system
 
 
+def read_float(value, what: str) -> float:
+    try:  # None, [1], "x" and 10**400 fail in float; each caller refuses NaN by its range check
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantError(f"{what} is not a real number in the float range ({type(value).__name__})") from None
+
+
 def log_q(q) -> float:
     """ln q, after the one check 0 < q < 1 (NaN fails it); q = 1 takes the classical formulas."""
-    q = float(q)
-    if not 0.0 < q < 1.0:
+    if not 0.0 < (q := read_float(q, "q")) < 1.0:
         raise InvariantError(f"q must satisfy 0 < q < 1, got {q}")
     return math.log(q)
 

@@ -27,8 +27,10 @@ rho), `apply_word`, `apply_w0`, `rational_inner_product` (the form on plain
 tuples of rationals, for test points off the weight lattice) and
 `center_add`.  `exact_eigenvalue` and `exact_lower_bound` are the q-Laplacian
 and its floor at q = s^D for a rational s, where every bracket [X/D]_q is the
-rational (s^X - s^-X) / (s^D - s^-D): exact `Fraction`s from the formula,
-sharing only the integer pairings of `weights.pairings` with the package.
+rational (s^X - s^-X) / (s^D - s^-D), and `exact_casimir` is the Casimir
+eigenvalue there, each q^(-2X/D) the rational s^(-2X): exact `Fraction`s from
+the formula, sharing only the integer pairings of `weights.pairings` with the
+package.
 """
 
 from __future__ import annotations
@@ -550,6 +552,11 @@ def reference_fodc_enumeration(R: RootSystem, calculi) -> list:
 def exact_bracket(X: int, D: int, s: Fraction) -> Fraction:
     """[X/D]_q at q = s^D: q^(X/D) = s^X, so (s^X - s^-X) / (s^D - s^-D), a rational."""
     return (s ** X - s ** -X) / (s ** D - s ** -D)
+
+
+def exact_casimir(R: RootSystem, mu: Weight, lam: Weight, s: Fraction) -> Fraction:
+    """C_{z_mu}(lam) = sum_e mult q^(-2 (lam + rho, e)) at q = s^D: q^(-2 X/D) = s^(-2 X), exactly."""
+    return sum((mult * s ** (-2 * x) for mult, x, _ in pairings(R, weight_system(R, mu).rows, lam)), Fraction(0))
 
 
 def exact_eigenvalue(R: RootSystem, spec, lam: Weight, s: Fraction) -> Fraction:

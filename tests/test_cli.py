@@ -230,13 +230,14 @@ def test_row_cap_env_variable(capsys, monkeypatch):
         assert (code, out) == (1, "") and err.startswith("usage error:")
 
 
-def test_output_to_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    code, out, _ = run(capsys, "center", "--type", "A2", "--output", str(target))
-    assert code == 0 and out == ""
-    assert json.loads(target.read_text())["order"] == 3
-    code, out, err = run(capsys, "center", "--type", "A2", "--output", str(tmp_path / "missing" / "x"))
-    assert (code, out) == (1, "") and err.startswith("usage error:")
+def test_output_to_file(tmp_path, capsys, monkeypatch):
+    # every report goes to stdout; --output is an unknown option and no file is written
+    monkeypatch.chdir(tmp_path)
+    for target in ("x", str(tmp_path / "report.json"), "-"):
+        code, out, err = run(capsys, "center", "--type", "A2", "--output", target)
+        assert (code, out) == (1, "") and err.startswith("usage error: unrecognized arguments: --output")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_is_a_usage_error():

@@ -17,6 +17,7 @@ import pytest
 
 from oracles import (
     exact_bracket,
+    exact_casimir,
     exact_eigenvalue,
     exact_lower_bound,
     fundamental,
@@ -188,6 +189,31 @@ def test_eigenvalues_and_floors_print_the_exact_12_digits():
         assert abs(Fraction(got) - exact) <= margin, (R.label(), s)
         assert _prints_exactly(got, exact, margin), (R.label(), s)
     assert rows == 2 * 6 * len(EXACT_LABELS)
+
+
+def test_casimir_eigenvalues_print_the_exact_12_digits():
+    """`casimir_eigenvalue` = sum_e mult q^(-2 (lam + rho, e)) against the rational value at q = s^D.
+
+    In units of U, with t = -2 (X / D) h the argument of exp for a pairing X: X / D errs by 1, ln q by
+    2 ulps (4) and the product by 1, so t errs by at most 6 |t|, which exp amplifies into a relative
+    error of 6 |t|.  exp errs by 2 ulps (4), the product by mult by 1, and the recursive sum of n
+    positive terms by n - 1 (Higham 2002, 4.2), all relative to the sum itself; 1% covers
+    second-order terms.  Each spec weight, and the trivial weight, against the first six dominant lam.
+    """
+    rows = 0
+    for R, spec, s, q, lams in _exact_cases():
+        D, h = R.denominator, math.log(q)
+        for mu in [Weight.zero(R.rank), *(mu for mu, _ in spec.terms)]:
+            for lam in lams:
+                exact = exact_casimir(R, mu, lam, s)
+                got = casimir_eigenvalue(R, mu, lam, q)
+                system = list(pairings(R, weight_system(R, mu).rows, lam))
+                worst = max(abs(2 * x / D * h) for _, x, _ in system)
+                margin = 1.01 * (6 * worst + 4 + 1 + len(system)) * U * float(exact)
+                assert abs(Fraction(got) - exact) <= margin, (R.label(), mu, lam, s)
+                assert _prints_exactly(got, exact, margin), (R.label(), mu, lam, s)
+                rows += 1
+    assert rows > 2 * 6 * len(EXACT_LABELS)
 
 
 @pytest.mark.xfail(strict=True, reason="known defect 1: `limit` prints |C_q - C_cl| as a difference of floats "
